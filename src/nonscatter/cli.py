@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .asymptotics import (
+    _pair,
     asym_report,
     corner_constants,
     disk_herglotz_closed_form,
@@ -332,11 +333,6 @@ def _emit(out_dir: str | None, name: str, text: str) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _pair(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _require_curve(s: Scenario) -> TrigCurve:

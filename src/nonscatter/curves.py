@@ -77,28 +77,42 @@ class TrigCurve:
 
 
 def _chords_cross(x, y) -> bool:
-    # proper-crossing test among the 2048 closing chords, blocked to bound memory
-    n = len(x)
+    """Proper-crossing test among the closing chords of the sampled curve.
+
+    Chords are grouped in blocks of consecutive samples.  Two chords can cross
+    only where their bounding boxes meet, so the strict predicate runs only on
+    block pairs whose boxes overlap, 2^18 chord pairs at a time to bound memory.
+    """
+    n, block = len(x), 16
     px, py = x, y
     qx, qy = np.roll(x, -1), np.roll(y, -1)
     rx, ry = qx - px, qy - py
-    idx = np.arange(n)
-    for i0 in range(0, n, 128):
-        i1 = min(i0 + 128, n)
-        bi = slice(i0, i1)
-        # d1, d2: endpoints of segment j against the line of segment i
-        d1 = rx[bi][:, None] * (py[None, :] - py[bi][:, None]) - ry[bi][:, None] * (px[None, :] - px[bi][:, None])
-        d2 = rx[bi][:, None] * (qy[None, :] - py[bi][:, None]) - ry[bi][:, None] * (qx[None, :] - px[bi][:, None])
-        # d3, d4: endpoints of segment i against the line of segment j
-        d3 = rx[None, :] * (py[bi][:, None] - py[None, :]) - ry[None, :] * (px[bi][:, None] - px[None, :])
-        d4 = rx[None, :] * (qy[bi][:, None] - py[None, :]) - ry[None, :] * (qx[bi][:, None] - px[None, :])
-        cross = (d1 * d2 < 0) & (d3 * d4 < 0)
-        # adjacent chords share an endpoint; strict inequalities already drop them,
-        # but guard the i == j diagonal explicitly
-        jj = idx[None, :]
-        ii = idx[bi][:, None]
-        cross &= ii != jj
-        if cross.any():
+    starts = np.arange(0, n, block)
+    lo_x = np.minimum.reduceat(np.minimum(px, qx), starts)
+    hi_x = np.maximum.reduceat(np.maximum(px, qx), starts)
+    lo_y = np.minimum.reduceat(np.minimum(py, qy), starts)
+    hi_y = np.maximum.reduceat(np.maximum(py, qy), starts)
+    meet = (
+        (lo_x[:, None] <= hi_x[None, :]) & (lo_x[None, :] <= hi_x[:, None])
+        & (lo_y[:, None] <= hi_y[None, :]) & (lo_y[None, :] <= hi_y[:, None])
+    )
+    # the predicate is symmetric in the two chords, so j >= i suffices
+    bi, bj = np.nonzero(np.triu(meet))
+    offs = np.arange(block)
+    chunk = max(1, 2**18 // block**2)
+    for c0 in range(0, len(bi), chunk):
+        i = np.minimum(starts[bi[c0:c0 + chunk], None] + offs, n - 1)[:, :, None]
+        j = np.minimum(starts[bj[c0:c0 + chunk], None] + offs, n - 1)[:, None, :]
+        pxi, pyi, qxi, qyi, rxi, ryi = px[i], py[i], qx[i], qy[i], rx[i], ry[i]
+        pxj, pyj, qxj, qyj, rxj, ryj = px[j], py[j], qx[j], qy[j], rx[j], ry[j]
+        # d1, d2: endpoints of chord j against the line of chord i
+        d1 = rxi * (pyj - pyi) - ryi * (pxj - pxi)
+        d2 = rxi * (qyj - pyi) - ryi * (qxj - pxi)
+        # d3, d4: endpoints of chord i against the line of chord j
+        d3 = rxj * (pyi - pyj) - ryj * (pxi - pxj)
+        d4 = rxj * (qyi - pyj) - ryj * (qxi - pxj)
+        # strict inequalities drop a chord against itself and its neighbours
+        if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
             return True
     return False
 

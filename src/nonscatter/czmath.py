@@ -23,9 +23,10 @@ __all__ = [
     "bessel_g",
 ]
 
-# series/Miller switchover: past ~12 the alternating series sheds digits
-# (roundoff grows like eps * e^|z|), backward recurrence takes over
-_SERIES_CUT = 12.0
+# series/Miller switchover: the alternating series sheds digits as |z| grows
+# (roundoff grows like eps * e^|z|, about 1e-12 of max(1, |J_n|) by |z| = 12),
+# while backward recurrence stays near 1e-15 down to |z| = 3
+_SERIES_CUT = 8.0
 _ENVELOPE = 200.0
 _G_SERIES_CUT = 30.0
 
@@ -87,6 +88,7 @@ def _g_series(n: int, w: complex) -> complex:
         term = 1.0 / float(math.factorial(n))
     else:
         term = math.exp(-math.lgamma(n + 1.0))
+    t0 = term
     term = complex(term)
     total = term
     carry = 0.0 + 0.0j
@@ -98,7 +100,7 @@ def _g_series(n: int, w: complex) -> complex:
         t = total + y
         carry = (t - total) - y
         total = t
-        if m > 4 and abs(term) <= 1e-18 * max(1.0, abs(total)):
+        if m > 4 and abs(term) <= 1e-18 * max(t0, abs(total)):
             break
         if m > 500:
             break
@@ -118,15 +120,17 @@ def bessel_g(n: int, w) -> complex:
 
 
 def _miller(n: int, z: complex) -> complex:
-    # backward recurrence J_{m-1} = (2m/z) J_m - J_{m+1},
-    # normalized by J_0 + 2 sum_{m>=1} J_{2m} = 1 (holds for complex z)
+    # backward recurrence J_{m-1} = (2m/z) J_m - J_{m+1}, normalized by the
+    # generating function e^{uz} = J_0 + 2 sum_{m>=1} u^m J_m with u = -i or i
+    # chosen so |e^{uz}| = e^{|Im z|}: its terms then add up without the
+    # cancellation that J_0 + 2 sum J_2m = 1 suffers off the real axis
+    u = -1j if z.imag >= 0 else 1j
+    powers = (1.0, u, -1.0, -u)
     az = abs(z)
     start = int(max(n + 20, az + 10.0 * az ** (1.0 / 3.0) + 22.0))
-    if start % 2:
-        start += 1
     jp = 0.0 + 0.0j
     jc = 1e-280 + 0.0j
-    even_sum = 0.0 + 0.0j
+    weighted = 0.0 + 0.0j
     jn = 0.0 + 0.0j
     for m in range(start, 0, -1):
         jm = (2.0 * m / z) * jc - jp
@@ -135,15 +139,14 @@ def _miller(n: int, z: complex) -> complex:
         order = m - 1
         if order == n:
             jn = jc
-        if order >= 2 and order % 2 == 0:
-            even_sum += jc
+        if order >= 1:
+            weighted += powers[order % 4] * jc
         if abs(jc.real) > 1e250 or abs(jc.imag) > 1e250:
             jp *= 1e-250
             jc *= 1e-250
-            even_sum *= 1e-250
+            weighted *= 1e-250
             jn *= 1e-250
-    norm = jc + 2.0 * even_sum
-    return jn / norm
+    return jn / (jc + 2.0 * weighted) * cmath.exp(u * z)
 
 
 def bessel_j(n: int, z) -> complex:

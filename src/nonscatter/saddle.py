@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,6 +334,65 @@ def _re_g_many(curve: TrigCurve, ts) -> np.ndarray:
     return (jets[0][0] + 1j * jets[0][1]).real
 
 
+def _resample(waypoints, n: int) -> np.ndarray:
+    """About n points along the polyline, spread over its segments by arc length."""
+    w = np.asarray(waypoints, dtype=complex)
+    seg = np.abs(np.diff(w))
+    total = seg.sum()
+    pts = [w[:1]]
+    for a, b, L in zip(w[:-1], w[1:], seg):
+        k = max(int(round(n * L / total)), 2)
+        pts.append(a + (b - a) * np.linspace(0.0, 1.0, k)[1:])
+    return np.concatenate(pts)
+
+
+def _bfs(mask: np.ndarray, source, target=None) -> np.ndarray:
+    """Parent field of a breadth-first search over the True cells of mask.
+
+    Steps go up, down, left, right: (i-1, j), (i+1, j), (i, j-1), (i, j+1).
+    The search runs one level at a time.  A cell reached from several frontier
+    cells keeps the first in frontier order x step order, so each parent and
+    each new frontier's order are the ones a FIFO queue search assigns.
+    Returns the flat index into mask of every cell's parent: the source is its
+    own parent and -1 marks cells not reached.  With a target, the search stops
+    after the level that reaches it.
+    """
+    ns, nr = mask.shape
+    w = nr + 2  # a closed one-cell border keeps flat steps inside the grid
+    open_ = np.zeros((ns + 2, w), dtype=bool)
+    open_[1:-1, 1:-1] = mask
+    open_ = open_.ravel()
+    parent = np.full(open_.size, -1, dtype=np.intp)
+    src = (source[0] + 1) * w + source[1] + 1
+    tgt = None if target is None else (target[0] + 1) * w + target[1] + 1
+    parent[src] = src
+    steps = np.array([-w, w, -1, 1])
+    frontier = np.array([src])
+    while frontier.size and (tgt is None or parent[tgt] < 0):
+        cand = (frontier[:, None] + steps).ravel()
+        pos = np.flatnonzero(open_[cand] & (parent[cand] < 0))
+        _, first = np.unique(cand[pos], return_index=True)
+        pos = pos[np.sort(first)]
+        parent[cand[pos]] = frontier[pos // 4]
+        frontier = cand[pos]
+    parent = parent.reshape(ns + 2, w)[1:-1, 1:-1]
+    return np.where(parent >= 0, (parent // w - 1) * nr + parent % w - 1, -1)
+
+
+def _bfs_path(parent: np.ndarray, target) -> list | None:
+    """Cells (i, j) from the source of a _bfs field to target; None if unreached."""
+    nr = parent.shape[1]
+    flat = parent.ravel()
+    k = target[0] * nr + target[1]
+    if flat[k] < 0:
+        return None
+    out = [k]
+    while flat[k] != k:
+        k = int(flat[k])
+        out.append(k)
+    return [divmod(k, nr) for k in reversed(out)]
+
+
 def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: float | None = None, rho: float = 0.1) -> ContourPath:
     """Admissible polyline -pi -> pi through sp.t0 inside the sampled descent region.
 
@@ -342,6 +400,13 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     where g''(t0) (t - t0)^2 is negative real.  When the two opposite steepest
     directions land in disconnected descent components (inward-cusp geometry),
     both probe legs tilt into the single usable sector and the path V-turns.
+
+    Connectivity comes from two breadth-first reach fields over the descent
+    cells, one from the cell next to -pi and one from the cell next to pi: a
+    probe pair is usable when its entry cell is reached from the -pi side and
+    its exit cell from the pi side.  The cell path into the saddle is read back
+    from the -pi field; the path out comes from a search started at the exit
+    cell.
     """
     if not sp.simple:
         raise ValueError("build_contour needs a simple saddle")
@@ -357,14 +422,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
 
     def _finish(waypoints, omega, i_saddle):
         # stored margin = what the path actually achieves, capped by the target
-        w = np.asarray(waypoints, dtype=complex)
-        seg = np.abs(np.diff(w))
-        total = seg.sum()
-        pts = [w[0]]
-        for a, b, L in zip(w[:-1], w[1:], seg):
-            n = max(int(round(2048 * L / total)), 2)
-            pts.append(a + (b - a) * np.linspace(0.0, 1.0, n)[1:])
-        ts = np.concatenate([np.atleast_1d(np.asarray(x, dtype=complex)) for x in pts])
+        ts = _resample(waypoints, 2048)
         exc = _re_g_many(curve, ts) - re_g0
         outside = np.abs(ts - t0) > rho
         worst = float(exc[outside].max())
@@ -420,22 +478,8 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     if start is None or goal is None:
         raise NoAdmissiblePath("no descent cell adjacent to an interval endpoint")
 
-    comp = np.full(values.shape, -1, dtype=int)
-    label = 0
-    for i0 in range(ns):
-        for j0 in range(nr):
-            if mask[i0, j0] and comp[i0, j0] < 0:
-                dq = deque([(i0, j0)])
-                comp[i0, j0] = label
-                while dq:
-                    ci, cj = dq.popleft()
-                    for ni, nj in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
-                        if 0 <= ni < ns and 0 <= nj < nr and mask[ni, nj] and comp[ni, nj] < 0:
-                            comp[ni, nj] = label
-                            dq.append((ni, nj))
-                label += 1
-    comp_minus = comp[start]
-    comp_plus = comp[goal]
+    from_start = _bfs(mask, start)
+    from_goal = _bfs(mask, goal)
 
     def probe(phi: float):
         length = rho + 1.5 * h
@@ -467,36 +511,15 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
         pn = probe(entry_phi)
         if pe is None or pn is None:
             continue
-        if comp[pe[1]] == comp_plus and comp[pn[1]] == comp_minus:
+        if from_goal[pe[1]] >= 0 and from_start[pn[1]] >= 0:
             chosen = (exit_phi, entry_phi, pe, pn)
             break
     if chosen is None:
         raise NoAdmissiblePath("no steepest-descent probe pair connects the endpoints")
     exit_phi, entry_phi, (p_exit, n_exit), (p_entry, n_entry) = chosen
 
-    def bfs(a, b):
-        prev = {a: None}
-        dq = deque([a])
-        while dq:
-            cur = dq.popleft()
-            if cur == b:
-                out = []
-                while cur is not None:
-                    out.append(cur)
-                    cur = prev[cur]
-                return out[::-1]
-            ci, cj = cur
-            for nxt in ((ci - 1, cj), (ci + 1, cj), (ci, cj - 1), (ci, cj + 1)):
-                ni, nj = nxt
-                if 0 <= ni < ns and 0 <= nj < nr and mask[ni, nj] and nxt not in prev:
-                    prev[nxt] = cur
-                    dq.append(nxt)
-        return None
-
-    cells_in = bfs(start, n_entry)
-    cells_out = bfs(n_exit, goal)
-    if cells_in is None or cells_out is None:
-        raise NoAdmissiblePath("descent corridor breaks between endpoint and saddle probe")
+    cells_in = _bfs_path(from_start, n_entry)
+    cells_out = _bfs_path(_bfs(mask, n_exit, goal), goal)
 
     def centers(cells):
         return [complex(r[j], s[i]) for i, j in cells]
@@ -535,14 +558,7 @@ def validate_contour(curve: TrigCurve, path: ContourPath, delta: float | None = 
     g0, _, g2 = g_jet(curve, t0, order=2)
     re_g0 = g0.real
 
-    w = np.asarray(path.waypoints, dtype=complex)
-    seg_len = np.abs(np.diff(w))
-    total = seg_len.sum()
-    samples = [w[0]]
-    for a, b, L in zip(w[:-1], w[1:], seg_len):
-        n = max(int(round(n_samples * L / total)), 2)
-        samples.append(a + (b - a) * np.linspace(0.0, 1.0, n)[1:])
-    ts = np.concatenate([np.atleast_1d(np.asarray(x, dtype=complex)) for x in samples])
+    ts = _resample(path.waypoints, n_samples)
     exc = _re_g_many(curve, ts) - re_g0
     dist = np.abs(ts - t0)
 

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonscatter.curves import (
     CornerDomain,
     TrigCurve,
+    _chords_cross,
     builtin,
     corner_segments,
     eval_jet,
@@ -178,3 +181,48 @@ def test_corner_phase_on_legs():
         # g = x1 + i x2 restricted to each leg
         assert complex(t, lo.slope * t) * 1.0 == pytest.approx(t * (1 + 1j * m))
         assert complex(t, up.slope * t) * 1.0 == pytest.approx(t * (1 - 1j * m))
+
+
+def _chords_cross_all_pairs(x, y):
+    # reference: the same strict predicate on every chord pair, 256 rows at a time
+    px, py = x, y
+    qx, qy = np.roll(x, -1), np.roll(y, -1)
+    rx, ry = qx - px, qy - py
+    for i0 in range(0, len(x), 256):
+        i = slice(i0, i0 + 256)
+        d1 = rx[i, None] * (py[None, :] - py[i, None]) - ry[i, None] * (px[None, :] - px[i, None])
+        d2 = rx[i, None] * (qy[None, :] - py[i, None]) - ry[i, None] * (qx[None, :] - px[i, None])
+        d3 = rx[None, :] * (py[i, None] - py[None, :]) - ry[None, :] * (px[i, None] - px[None, :])
+        d4 = rx[None, :] * (qy[i, None] - py[None, :]) - ry[None, :] * (qx[i, None] - px[None, :])
+        if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
+            return True
+    return False
+
+
+def _chord_sample(curve):
+    ts = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
+    jets = eval_jets(curve, ts, order=0)
+    return jets[0][0].real, jets[0][1].real
+
+
+_coeff_rows = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_coeff_rows, _coeff_rows, _coeff_rows, _coeff_rows)
+def test_pruned_chord_test_matches_all_pairs(a1, b1, a2, b2):
+    x, y = _chord_sample(TrigCurve(a1=a1, b1=b1, a2=a2, b2=b2, check=False))
+    assert _chords_cross(x, y) == _chords_cross_all_pairs(x, y)
+
+
+def test_pruned_chord_test_on_fixtures():
+    limacon = TrigCurve(a1=(1.0, 1.0, 1.0), b1=(), a2=(), b2=(0.0, 1.0, 1.0), check=False)
+    x, y = _chord_sample(limacon)
+    assert _chords_cross(x, y) and _chords_cross_all_pairs(x, y)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        TrigCurve(a1=limacon.a1, b1=limacon.b1, a2=limacon.a2, b2=limacon.b2)
+    assert any("intersect" in str(w.message) for w in rec)
+    for name, params in (("ellipse", (2.0, 1.0)), ("cardioid", ()), ("deltoid", ()), ("nonconvex", ())):
+        x, y = _chord_sample(builtin(name, *params))
+        assert not _chords_cross(x, y) and not _chords_cross_all_pairs(x, y)

@@ -230,3 +230,25 @@ def test_bessel_conjugation_hypothesis(n, z):
     lhs = bessel_j(n, z.conjugate())
     rhs = bessel_j(n, z).conjugate()
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("z", [35j, 40j, 150 + 50j, -200j, 12.0, 7.5 + 2.0j])
+def test_bessel_j_off_axis_points(z):
+    # J_0 + 2 sum J_2m cancels off the real axis (to zero at 40i and 150+50i);
+    # near |z| = 12 the alternating series sheds digits; at high order the
+    # series must not stop while its terms still grow
+    for n in (0, 1, 2, 7, 20):
+        ref = sps.jv(n, z)
+        assert abs(bessel_j(n, z) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.floats(min_value=0.0, max_value=199.999),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_bessel_j_envelope_hypothesis(n, r, theta):
+    z = cmath.rect(r, theta)
+    ref = sps.jv(n, z)
+    assert abs(bessel_j(n, z) - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -1,8 +1,11 @@
 import cmath
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonscatter.curves import TrigCurve, builtin, eval_jet
 from nonscatter.errors import (
@@ -13,6 +16,8 @@ from nonscatter.errors import (
 )
 from nonscatter.saddle import (
     ContourPath,
+    _bfs,
+    _bfs_path,
     SaddlePoint,
     branch_angle,
     branch_sqrt_neg_g2,
@@ -277,3 +282,62 @@ def test_grid_svg_structure(grids, paths):
     assert svg == grid_to_svg(grids["cardioid"], paths["cardioid"])
     no_overlay = grid_to_svg(grids["cardioid"])
     assert 'stroke="blue"' not in no_overlay
+
+
+def _deque_bfs(mask, a, b=None):
+    # reference: FIFO queue BFS, steps up, down, left, right, stopping when b is popped
+    ns, nr = mask.shape
+    prev = {a: None}
+    dq = deque([a])
+    while dq:
+        cur = dq.popleft()
+        if cur == b:
+            break
+        i, j = cur
+        for nxt in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if 0 <= nxt[0] < ns and 0 <= nxt[1] < nr and mask[nxt] and nxt not in prev:
+                prev[nxt] = cur
+                dq.append(nxt)
+    return prev
+
+
+def _deque_path(mask, a, b):
+    prev = _deque_bfs(mask, a, b)
+    if b not in prev:
+        return None
+    out = [b]
+    while prev[out[-1]] is not None:
+        out.append(prev[out[-1]])
+    return out[::-1]
+
+
+@st.composite
+def _mask_and_ends(draw):
+    ns = draw(st.integers(1, 40))
+    nr = draw(st.integers(1, 50))
+    density = draw(st.floats(0.3, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    mask = np.random.default_rng(seed).random((ns, nr)) < density
+    a = (draw(st.integers(0, ns - 1)), draw(st.integers(0, nr - 1)))
+    b = a if draw(st.booleans()) and draw(st.booleans()) else (
+        draw(st.integers(0, ns - 1)), draw(st.integers(0, nr - 1))
+    )
+    return mask, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mask_and_ends())
+def test_bfs_matches_deque_bfs(case):
+    mask, a, b = case
+    want = _deque_path(mask, a, b)
+    # the full field and the search stopped at the target give the same path
+    assert _bfs_path(_bfs(mask, a), b) == want
+    assert _bfs_path(_bfs(mask, a, b), b) == want
+    if a == b:
+        assert want == [a]
+    # every parent of the full field is the one the queue search assigns
+    nr = mask.shape[1]
+    field = np.full(mask.shape, -1)
+    for (i, j), p in _deque_bfs(mask, a).items():
+        field[i, j] = i * nr + j if p is None else p[0] * nr + p[1]
+    assert (_bfs(mask, a) == field).all()
