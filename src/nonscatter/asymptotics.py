@@ -98,12 +98,9 @@ def f_jet(curve: TrigCurve, wave, q: float, s: SaddlePoint, r_cauchy: float = R_
     jets = eval_jets(curve, ts, order=1)
     x1, x2 = jets[0]
     x1p, x2p = jets[1]
-    fv = np.empty(N_RING, dtype=complex)
-    wv = np.empty(N_RING, dtype=complex)
-    for idx in range(N_RING):
-        sample = _waves.sample(wave, (x1[idx], x2[idx]))
-        fv[idx] = 0.5 * k * k * q * (x2p[idx] + 1j * x1p[idx]) * sample.v
-        wv[idx] = 1j * sample.V[0] + sample.V[1]
+    sample = _waves.sample(wave, (x1, x2))
+    fv = 0.5 * k * k * q * (x2p + 1j * x1p) * sample.v
+    wv = 1j * sample.V[0] + sample.V[1]
     cf = _ring_coeffs(fv, r_cauchy, 3)
     cw = _ring_coeffs(wv, r_cauchy, 4)
     return FJet(
@@ -205,13 +202,11 @@ def mu_n(n: int) -> float:
 def _line_coeffs(wave, axis: int, r: float, orders: int, grad_component: int | None = None) -> np.ndarray:
     theta = 2.0 * math.pi * np.arange(N_RING) / N_RING
     zs = r * np.exp(1j * theta)
-    vals = np.empty(N_RING, dtype=complex)
-    for idx, z in enumerate(zs):
-        x = (z, 0.0) if axis == 0 else (0.0, z)
-        if grad_component is None:
-            vals[idx] = _waves.value(wave, x)
-        else:
-            vals[idx] = _waves.gradient(wave, x)[grad_component]
+    x = (zs, 0.0) if axis == 0 else (0.0, zs)
+    if grad_component is None:
+        vals = _waves.value(wave, x)
+    else:
+        vals = _waves.gradient(wave, x)[grad_component]
     return _ring_coeffs(vals, r, orders)
 
 
@@ -267,10 +262,10 @@ def disk_herglotz_closed_form(lam: float, n: int, k: float, q: float) -> complex
     return 4.0 * math.pi**2 * wron * k * (-1j * lt / (k * rq)) ** n
 
 
-def _wronskian(n: int, q: float, k: float) -> float:
+def _wronskian(n: int, q: float, k):
     rq = math.sqrt(q)
     val = bessel_jp(n, k) * bessel_j(n, k * rq) - rq * bessel_j(n, k) * bessel_jp(n, k * rq)
-    return complex(val).real
+    return val.real
 
 
 def nonscattering_wavenumbers(n: int, q: float, k_max: float) -> list[float]:
@@ -282,13 +277,12 @@ def nonscattering_wavenumbers(n: int, q: float, k_max: float) -> list[float]:
     if k_max > 100.0:
         raise ValueError("scan cap is k_max <= 100")
     step = 0.01
+    ks = [step]
+    while ks[-1] < k_max:
+        ks.append(min(ks[-1] + step, k_max))
+    fs = _wronskian(n, q, np.array(ks)).tolist()
     roots: list[float] = []
-    k_prev = step
-    f_prev = _wronskian(n, q, k_prev)
-    k_cur = k_prev
-    while k_cur < k_max:
-        k_cur = min(k_cur + step, k_max)
-        f_cur = _wronskian(n, q, k_cur)
+    for k_prev, k_cur, f_prev, f_cur in zip(ks, ks[1:], fs, fs[1:]):
         if f_prev == 0.0:
             roots.append(k_prev)
         elif f_prev * f_cur < 0.0:
@@ -304,7 +298,6 @@ def nonscattering_wavenumbers(n: int, q: float, k_max: float) -> list[float]:
                 else:
                     lo, flo = mid, fm
             roots.append(0.5 * (lo + hi))
-        k_prev, f_prev = k_cur, f_cur
     return roots
 
 

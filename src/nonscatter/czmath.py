@@ -1,7 +1,8 @@
 """Complex-argument Bessel evaluation and the spectral-parameter algebra.
 
 Self-contained J_n for complex z: ascending series for small arguments,
-backward (Miller) recurrence beyond, documented envelope |z| <= 200.
+backward (Miller) recurrence beyond, documented envelope |z| <= 200.  The
+Bessel functions take scalars or numpy arrays; the series runs vectorized.
 Everything here is a pure function of value inputs.
 """
 
@@ -10,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AccuracyEnvelopeExceeded
 
@@ -28,7 +31,8 @@ __all__ = [
 # while backward recurrence stays near 1e-15 down to |z| = 3
 _SERIES_CUT = 8.0
 _ENVELOPE = 200.0
-_G_SERIES_CUT = 30.0
+# the same switch for G_n(w), w = z^2/4
+_G_SERIES_CUT = _SERIES_CUT**2 / 4
 
 
 @dataclass(frozen=True)
@@ -82,41 +86,71 @@ def xi_vector(p: SpectralParams) -> TestVector:
     return TestVector((complex(0.0, -p.lam), complex(root, 0.0)))
 
 
-def _g_series(n: int, w: complex) -> complex:
-    # G_n(w) = sum_m (-w)^m / (m! (m+n)!), Kahan-compensated
+def _g_series(n: int, w: np.ndarray) -> np.ndarray:
+    # G_n(w) = sum_m (-w)^m / (m! (m+n)!), Kahan-compensated; each element
+    # stops at its own rule and drops out of the working arrays
     if n <= 128:
-        term = 1.0 / float(math.factorial(n))
+        t0 = 1.0 / float(math.factorial(n))
     else:
-        term = math.exp(-math.lgamma(n + 1.0))
-    t0 = term
-    term = complex(term)
-    total = term
-    carry = 0.0 + 0.0j
+        t0 = math.exp(-math.lgamma(n + 1.0))
+    out = np.empty(w.size, dtype=complex)
+    pos = np.arange(w.size)
+    w = w.ravel()
+    term = np.full(w.size, t0, dtype=complex)
+    total = term.copy()
+    carry = np.zeros(w.size, dtype=complex)
     m = 0
-    while True:
+    while pos.size:
         m += 1
         term *= -w / (m * (m + n))
         y = term - carry
         t = total + y
         carry = (t - total) - y
         total = t
-        if m > 4 and abs(term) <= 1e-18 * max(t0, abs(total)):
-            break
+        if m <= 4:
+            continue
+        done = np.abs(term) <= 1e-18 * np.maximum(t0, np.abs(total))
         if m > 500:
-            break
-    return total
+            done[:] = True
+        if done.any():
+            out[pos[done]] = total[done]
+            keep = ~done
+            pos, w, term, total, carry = pos[keep], w[keep], term[keep], total[keep], carry[keep]
+    return out
 
 
-def bessel_g(n: int, w) -> complex:
-    """Entire function G_n(w) = sum_m (-w)^m/(m!(m+n)!); J_n(z) = (z/2)^n G_n(z^2/4)."""
-    if n < 0:
-        raise ValueError(f"bessel_g requires n >= 0, got {n}")
-    w = complex(w)
-    if abs(w) <= _G_SERIES_CUT:
-        return _g_series(n, w)
+def _split(x, cut: float, series, one):
+    """series() on the points with |x| <= cut, vectorized, and one() on each
+    point beyond; complex for a scalar x, else an array of its shape."""
+    arr = np.asarray(x, dtype=complex)
+    flat = arr.ravel()
+    small = np.abs(flat) <= cut
+    out = np.empty(flat.size, dtype=complex)
+    if small.any():
+        out[small] = series(flat[small])
+    for i in np.flatnonzero(~small):
+        out[i] = one(complex(flat[i]))
+    if arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(arr.shape)
+
+
+def _g_beyond(n: int, w: complex) -> complex:
     # G_n entire and J_n(2s)/s^n even in s, so the sqrt branch cancels
     s = cmath.sqrt(w)
     return bessel_j(n, 2.0 * s) / s**n
+
+
+def bessel_g(n: int, w):
+    """Entire function G_n(w) = sum_m (-w)^m/(m!(m+n)!); J_n(z) = (z/2)^n G_n(z^2/4).
+
+    `w` may be a scalar (returns complex) or an array (returns a complex array
+    of its shape): the series runs vectorized for |w| <= 16, the points beyond
+    go one by one through J_n and its envelope check.
+    """
+    if n < 0:
+        raise ValueError(f"bessel_g requires n >= 0, got {n}")
+    return _split(w, _G_SERIES_CUT, lambda w: _g_series(n, w), lambda w: _g_beyond(n, w))
 
 
 def _miller(n: int, z: complex) -> complex:
@@ -149,32 +183,40 @@ def _miller(n: int, z: complex) -> complex:
     return jn / (jc + 2.0 * weighted) * cmath.exp(u * z)
 
 
-def bessel_j(n: int, z) -> complex:
-    """J_n(z) for complex z, |z| <= 200; negative orders via J_{-n} = (-1)^n J_n."""
-    z = complex(z)
-    if abs(z) > _ENVELOPE:
-        raise AccuracyEnvelopeExceeded(f"|z| = {abs(z):.6g} exceeds the J_n envelope {_ENVELOPE:g}")
+def _check_envelope(z) -> None:
+    mod = np.abs(np.asarray(z, dtype=complex))
+    if mod.size and mod.max() > _ENVELOPE:
+        raise AccuracyEnvelopeExceeded(f"|z| = {mod.max():.6g} exceeds the J_n envelope {_ENVELOPE:g}")
+
+
+def _miller_any(n: int, z: complex) -> complex:
+    val = _miller(abs(n), z)
+    return -val if n < 0 and n % 2 else val
+
+
+def bessel_j(n: int, z):
+    """J_n(z) for complex z, |z| <= 200; negative orders via J_{-n} = (-1)^n J_n.
+
+    Scalar or array `z`, as for bessel_g: the series runs vectorized for
+    |z| <= 8 and Miller recurrence point by point beyond."""
+    _check_envelope(z)
     if n < 0:
         val = bessel_j(-n, z)
         return -val if n % 2 else val
-    if abs(z) <= _SERIES_CUT:
-        if z == 0:
-            return complex(1.0) if n == 0 else complex(0.0)
-        return (0.5 * z) ** n * _g_series(n, 0.25 * z * z)
-    return _miller(n, z)
+    return _split(z, _SERIES_CUT, lambda z: (0.5 * z) ** n * _g_series(n, 0.25 * z * z), lambda z: _miller(n, z))
 
 
-def bessel_jp(n: int, z) -> complex:
-    """dJ_n/dz for complex z in the same envelope."""
-    z = complex(z)
+def bessel_jp(n: int, z):
+    """dJ_n/dz for complex z in the same envelope, scalar or array."""
+    _check_envelope(z)
     if n < 0:
         val = bessel_jp(-n, z)
         return -val if n % 2 else val
-    if abs(z) <= _SERIES_CUT:
-        if z == 0:
-            return complex(0.5) if n == 1 else complex(0.0)
+
+    def series(z):
         w = 0.25 * z * z
         h = 0.5 * z
         lead = 0.5 * n * h ** (n - 1) if n > 0 else 0.0
         return lead * _g_series(n, w) - h ** (n + 1) * _g_series(n + 1, w)
-    return 0.5 * (bessel_j(n - 1, z) - bessel_j(n + 1, z))
+
+    return _split(z, _SERIES_CUT, series, lambda z: 0.5 * (_miller_any(n - 1, z) - _miller_any(n + 1, z)))

@@ -5,15 +5,15 @@ The diagnostic integral over a closed curve x(t), t in [-pi, pi], is
 with g = x1 + i x2, v = u(x(t)), V = grad u(x(t)), lt = sqrt(lam^2+k^2 q) - lam.
 Real-interval evaluation uses the periodic trapezoid rule; deformed contours
 and corner legs use adaptive Gauss panels.  An optional normalization g0 folds
-e^(-lam g0) into the exponent so large-lam sweeps never overflow.
+e^(-lam g0) into the exponent so large-lam sweeps never overflow.  A sweep
+evaluates the lam-free part of the integrand (curve jets, v and V) once per
+node set and reuses it at every lam.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +47,9 @@ _MAX_TRAP = 1 << 17
 _MAX_DEPTH = 14
 _RING_N = 32
 _RING_R = 0.05
+# points per wave call in the area oracle and the W' ring: 64 radii (or 32 ring
+# points) times a 131072-node trapezoid would otherwise take gigabytes
+_BLOCK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,6 @@ class FitResult:
     order: float
 
 
-def _wave_arrays(wave, x1, x2):
-    n = len(x1)
-    v = np.empty(n, dtype=complex)
-    V1 = np.empty(n, dtype=complex)
-    V2 = np.empty(n, dtype=complex)
-    for i in range(n):
-        s = _waves.sample(wave, (x1[i], x2[i]))
-        v[i] = s.v
-        V1[i], V2[i] = s.V
-    return v, V1, V2
-
-
 def _exp_factor(p: SpectralParams, g, x2, g0: complex):
     lt = lambda_tilde(p)
     expo = p.lam * (g - g0) + 1j * lt * np.asarray(x2, dtype=complex)
@@ -103,28 +94,49 @@ def _exp_factor(p: SpectralParams, g, x2, g0: complex):
     return np.exp(expo), lt
 
 
-def _curve_integrand(curve: TrigCurve, wave, p: SpectralParams, g0: complex):
-    def fn(ts: np.ndarray) -> np.ndarray:
+# The integrand is [A + i lam g' v + i lt x1' v] e^(lam (g - g0) + i lt x2) with
+# A = x2' V1 - x1' V2.  Its lam-free node data (x2, g, g', x1', v, A) are computed
+# once per node array and kept in a dict that the caller of _integrator owns.
+
+
+def _curve_nodes(curve: TrigCurve, wave):
+    def data(ts: np.ndarray):
         jets = eval_jets(curve, ts, order=1)
         x1, x2 = jets[0]
         x1p, x2p = jets[1]
-        v, V1, V2 = _wave_arrays(wave, x1, x2)
-        g = x1 + 1j * x2
-        gp = x1p + 1j * x2p
-        E, lt = _exp_factor(p, g, x2, g0)
-        return ((x2p * V1 - x1p * V2) + 1j * p.lam * gp * v + 1j * lt * x1p * v) * E
+        s = _waves.sample(wave, (x1, x2))
+        V1, V2 = s.V
+        return x2, x1 + 1j * x2, x1p + 1j * x2p, x1p, s.v, x2p * V1 - x1p * V2
 
-    return fn
+    return data
 
 
-def _corner_integrand(slope: float, wave, p: SpectralParams, g0: complex):
-    def fn(ts: np.ndarray) -> np.ndarray:
+def _corner_nodes(slope: float, wave):
+    def data(ts: np.ndarray):
         ts = np.asarray(ts, dtype=complex)
         x1, x2 = ts, slope * ts
-        v, V1, V2 = _wave_arrays(wave, x1, x2)
-        g = (1.0 + 1j * slope) * ts
+        s = _waves.sample(wave, (x1, x2))
+        V1, V2 = s.V
+        return x2, (1.0 + 1j * slope) * ts, 1.0 + 1j * slope, 1.0, s.v, slope * V1 - V2
+
+    return data
+
+
+def _node_cache(data, memo: dict, piece: int):
+    def cached(ts: np.ndarray):
+        key = (piece, ts.dtype.str, ts.tobytes())
+        if key not in memo:
+            memo[key] = data(ts)
+        return memo[key]
+
+    return cached
+
+
+def _lam_step(data, p: SpectralParams, g0: complex):
+    def fn(ts: np.ndarray) -> np.ndarray:
+        x2, g, gp, x1p, v, A = data(ts)
         E, lt = _exp_factor(p, g, x2, g0)
-        return ((slope * V1 - V2) + 1j * p.lam * (1.0 + 1j * slope) * v + 1j * lt * v) * E
+        return (A + 1j * p.lam * gp * v + 1j * lt * x1p * v) * E
 
     return fn
 
@@ -158,92 +170,108 @@ def _panel(fn, a: complex, b: complex, n: int) -> complex:
     return (b - a) * complex((fn(zs) * w).sum())
 
 
-def _adaptive_segment(fn, a, b, n, abs_tol, depth, counter):
-    whole = _panel(fn, a, b, n)
+def _adaptive_segment(fn, a, b, n, whole, abs_tol, depth, counter):
+    # `whole` is the parent's value of the panel [a, b]
     mid = 0.5 * (a + b)
     left = _panel(fn, a, mid, n)
     right = _panel(fn, mid, b, n)
-    counter[0] += 3 * n
+    counter[0] += 2 * n
     if abs(whole - (left + right)) <= abs_tol:
         return left + right
     if depth >= _MAX_DEPTH:
         raise QuadratureNotConverged(
             f"panel [{a:.4g}, {b:.4g}] disagrees by {abs(whole - left - right):.3g} at max depth"
         )
-    return _adaptive_segment(fn, a, mid, n, 0.5 * abs_tol, depth + 1, counter) + _adaptive_segment(
-        fn, mid, b, n, 0.5 * abs_tol, depth + 1, counter
+    return _adaptive_segment(fn, a, mid, n, left, 0.5 * abs_tol, depth + 1, counter) + _adaptive_segment(
+        fn, mid, b, n, right, 0.5 * abs_tol, depth + 1, counter
     )
 
 
 def _panel_chain(fn, endpoints, n, tol):
     segs = list(zip(endpoints[:-1], endpoints[1:]))
-    rough = sum(_panel(fn, a, b, n) for a, b in segs)
+    rough = [_panel(fn, a, b, n) for a, b in segs]
     lengths = np.array([abs(b - a) for a, b in segs])
     total_len = lengths.sum()
-    abs_tol = tol * max(1.0, abs(rough))
-    counter = [0]
+    abs_tol = tol * max(1.0, abs(sum(rough)))
+    counter = [n * len(segs)]
     total = 0.0 + 0.0j
-    for (a, b), L in zip(segs, lengths):
-        total += _adaptive_segment(fn, a, b, n, abs_tol * L / total_len, 0, counter)
+    for (a, b), whole, L in zip(segs, rough, lengths):
+        total += _adaptive_segment(fn, a, b, n, whole, abs_tol * L / total_len, 0, counter)
     return total, counter[0]
 
 
-def _integrate(domain, wave, q: float, lam: float, path, opts: QuadOptions):
-    p = SpectralParams(k=wave.k, q=q, lam=lam)
+def _integrator(domain, wave, q: float, path, opts: QuadOptions, memo: dict):
+    """lam -> (integral, nodes used); the node data of every piece of the path go to memo."""
     g0 = complex(opts.g0) if opts.g0 is not None else 0.0 + 0.0j
+    n_panel = min(max(opts.nodes, 16), 64)
+
+    def params(lam: float) -> SpectralParams:
+        return SpectralParams(k=wave.k, q=q, lam=lam)
 
     if isinstance(domain, CornerDomain):
-        total = 0.0 + 0.0j
-        nodes = 0
-        n_panel = min(max(opts.nodes, 16), 64)
-        for seg in corner_segments(domain):
-            fn = _corner_integrand(seg.slope, wave, p, g0)
-            # split toward the corner where e^(lam t) concentrates
-            ends = [seg.a, 0.5 * seg.a, 0.25 * seg.a, 0.0]
-            val, used = _panel_chain(fn, ends, n_panel, opts.tol)
-            total += seg.orient * val
-            nodes += used
-        return total, nodes
+        # split toward the corner where e^(lam t) concentrates
+        legs = [
+            (seg.orient, [seg.a, 0.5 * seg.a, 0.25 * seg.a, 0.0], _node_cache(_corner_nodes(seg.slope, wave), memo, i))
+            for i, seg in enumerate(corner_segments(domain))
+        ]
+
+        def corner(lam: float):
+            p = params(lam)
+            total = 0.0 + 0.0j
+            nodes = 0
+            for orient, ends, data in legs:
+                val, used = _panel_chain(_lam_step(data, p, g0), ends, n_panel, opts.tol)
+                total += orient * val
+                nodes += used
+            return total, nodes
+
+        return corner
 
     if not isinstance(domain, TrigCurve):
         raise TypeError(f"unsupported domain {type(domain).__name__}")
-    fn = _curve_integrand(domain, wave, p, g0)
+    data = _node_cache(_curve_nodes(domain, wave), memo, 0)
 
     if isinstance(path, ContourPath):
-        n_panel = min(max(opts.nodes, 16), 64)
-        return _panel_chain(fn, list(path.waypoints), n_panel, opts.tol)
-    if path is not None:
-        a, b = path
-        if abs(a + math.pi) > 1e-12 or abs(b - math.pi) > 1e-12:
-            raise ValueError("real-interval path must be the full period (-pi, pi)")
-    if opts.mode == "panel_gauss":
-        n_panel = min(max(opts.nodes, 16), 64)
+        ends = list(path.waypoints)
+    else:
+        if path is not None:
+            a, b = path
+            if abs(a + math.pi) > 1e-12 or abs(b - math.pi) > 1e-12:
+                raise ValueError("real-interval path must be the full period (-pi, pi)")
+        if opts.mode != "panel_gauss":
+            return lambda lam: _trapezoid(_lam_step(data, params(lam), g0), opts.tol, max(opts.nodes, 64))
         ends = list(np.linspace(-math.pi, math.pi, 9))
-        return _panel_chain(fn, ends, n_panel, opts.tol)
-    return _trapezoid(fn, opts.tol, max(opts.nodes, 64))
+    return lambda lam: _panel_chain(_lam_step(data, params(lam), g0), ends, n_panel, opts.tol)
 
 
 def boundary_integral_I(domain, wave, q: float, lam: float, path=None, opts: QuadOptions | None = None) -> complex:
     """The diagnostic integral; with opts.g0 set, returns e^(-lam g0) I(lam)."""
-    val, _ = _integrate(domain, wave, q, lam, path, opts or QuadOptions())
+    memo: dict = {}
+    try:
+        val, _ = _integrator(domain, wave, q, path, opts or QuadOptions(), memo)(lam)
+    finally:
+        memo.clear()  # a raised error's traceback keeps this frame, not the node data, alive
     return val
+
+
+def _in_blocks(fn, ts: np.ndarray, points_per_node: int) -> np.ndarray:
+    step = max(1, _BLOCK_POINTS // points_per_node)
+    return np.concatenate([fn(ts[i : i + step]) for i in range(0, len(ts), step)])
 
 
 def _w_prime_ring(wave, curve: TrigCurve, ts: np.ndarray) -> np.ndarray:
     """d/dt [i V1 + V2] by Cauchy differentiation on a small ring at each node."""
     theta = 2.0 * math.pi * np.arange(_RING_N) / _RING_N
     ring = _RING_R * np.exp(1j * theta)
-    out = np.empty(len(ts), dtype=complex)
-    for i, t in enumerate(ts):
-        zs = t + ring
-        jets = eval_jets(curve, zs, order=0)
-        x1, x2 = jets[0]
-        wv = np.empty(_RING_N, dtype=complex)
-        for j in range(_RING_N):
-            V = _waves.gradient(wave, (x1[j], x2[j]))
-            wv[j] = 1j * V[0] + V[1]
-        out[i] = complex((wv * np.exp(-1j * theta)).mean()) / _RING_R
-    return out
+
+    def block(ts: np.ndarray) -> np.ndarray:
+        zs = np.asarray(ts, dtype=complex)[:, None] + ring
+        x1, x2 = eval_jets(curve, zs.ravel(), order=0)[0]
+        V1, V2 = _waves.gradient(wave, (x1, x2))
+        wv = (1j * V1 + V2).reshape(zs.shape)
+        return (wv * np.exp(-1j * theta)).mean(axis=1) / _RING_R
+
+    return _in_blocks(block, ts, _RING_N)
 
 
 def boundary_integral_I_byparts(curve: TrigCurve, wave, q: float, lam: float, path=None, opts: QuadOptions | None = None) -> complex:
@@ -259,12 +287,13 @@ def boundary_integral_I_byparts(curve: TrigCurve, wave, q: float, lam: float, pa
         jets = eval_jets(curve, ts, order=1)
         x1, x2 = jets[0]
         x1p, x2p = jets[1]
-        v, V1, V2 = _wave_arrays(wave, x1, x2)
+        s = _waves.sample(wave, (x1, x2))
+        V1, V2 = s.V
         w = 1j * V1 + V2
         wp = _w_prime_ring(wave, curve, ts)
         g = x1 + 1j * x2
         E, lt = _exp_factor(p, g, x2, g0)
-        return (p.lam * lt * (x2p + 1j * x1p) * v + wp + 1j * lt * x2p * w) * E
+        return (p.lam * lt * (x2p + 1j * x1p) * s.v + wp + 1j * lt * x2p * w) * E
 
     if isinstance(path, ContourPath):
         n_panel = min(max(opts.nodes, 16), 64)
@@ -296,51 +325,46 @@ def area_integral_oracle(curve: TrigCurve, wave, q: float, lam: float, opts: Qua
             "curve not star-shaped about 0"
         )
 
-    ns = 64
-    su, sw = _gauss01(ns)
+    su, sw = _gauss01(64)
 
-    def fn(ts: np.ndarray) -> np.ndarray:
+    def block(ts: np.ndarray) -> np.ndarray:
         jets = eval_jets(curve, ts, order=1)
         x1, x2 = jets[0]
         x1p, x2p = jets[1]
         j0 = x1 * x2p - x2 * x1p
-        acc = np.zeros(len(ts), dtype=complex)
-        for s_val, w_val in zip(su, sw):
-            y1 = s_val * x1
-            y2 = s_val * x2
-            uvals = np.empty(len(ts), dtype=complex)
-            for i in range(len(ts)):
-                uvals[i] = _waves.value(wave, (y1[i], y2[i]))
-            acc += w_val * s_val * uvals * np.exp(p.lam * y1 + 1j * xi2 * y2)
+        # rows: the 64 Gauss radii s; columns: the nodes
+        y1 = su[:, None] * x1
+        y2 = su[:, None] * x2
+        u = _waves.value(wave, (y1, y2))
+        acc = ((sw * su)[:, None] * u * np.exp(p.lam * y1 + 1j * xi2 * y2)).sum(axis=0)
         return acc * j0
 
-    val, _ = _trapezoid(fn, opts.tol, max(opts.nodes, 128))
+    val, _ = _trapezoid(lambda ts: _in_blocks(block, ts, len(su)), opts.tol, max(opts.nodes, 128))
     return val
 
 
 def lambda_sweep(domain, wave, q: float, lam_grid, p_power: float, g0: complex, path=None, opts: QuadOptions | None = None) -> list[SweepRecord]:
-    """resid(lam) = lam^p e^(-lam g0) I(lam), exponential folded into the quadrature."""
+    """resid(lam) = lam^p e^(-lam g0) I(lam), exponential folded into the quadrature.
+
+    Every lam runs the same node sets, so their lam-free integrand data are
+    computed once for the whole sweep."""
     grid = [float(x) for x in lam_grid]
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
-    opts = replace(opts or QuadOptions(), g0=complex(g0))
-
-    def one(lam: float) -> SweepRecord:
-        val, used = _integrate(domain, wave, q, lam, path, opts)
-        w = lam * complex(g0)
-        if w.real > _EXP_CAP:
-            raw = complex(math.inf, math.inf)
-        else:
-            raw = val * cmath.exp(w)
-        return SweepRecord(lam=lam, I_raw=raw, resid=lam**p_power * val, nodes_used=used)
-
-    workers = max(1, int(os.environ.get("NONSCATTER_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, grid))
-    else:
-        records = [one(lam) for lam in grid]
-    records.sort(key=lambda rec: rec.lam)
+    memo: dict = {}
+    records = []
+    try:
+        run = _integrator(domain, wave, q, path, replace(opts or QuadOptions(), g0=complex(g0)), memo)
+        for lam in grid:
+            val, used = run(lam)
+            w = lam * complex(g0)
+            if w.real > _EXP_CAP:
+                raw = complex(math.inf, math.inf)
+            else:
+                raw = val * cmath.exp(w)
+            records.append(SweepRecord(lam=lam, I_raw=raw, resid=lam**p_power * val, nodes_used=used))
+    finally:
+        memo.clear()  # a raised error's traceback keeps this frame, not the node data, alive
     return records
 
 

@@ -8,10 +8,11 @@ Non-entire incident fields (point sources, Hankel fields) are unsupported.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .czmath import bessel_g
 
@@ -92,82 +93,89 @@ WaveModel = Union[PlaneWave, PlaneCombo, CircularHarmonic, HerglotzTrunc]
 
 @dataclass(frozen=True)
 class WaveSample:
-    """Value v = u(x) and gradient V = grad u(x) at one (complex) point."""
+    """Value v = u(x) and gradient V = grad u(x) at a point, or at an array of points."""
 
     v: complex
     V: tuple[complex, complex]
 
 
-def _plane_value(k: float, alpha: float, x) -> complex:
-    x1, x2 = x
-    return cmath.exp(1j * k * (x1 * math.cos(alpha) + x2 * math.sin(alpha)))
+def _planes(k: float, terms, x1, x2, grad: bool):
+    # sum_j c_j e^{i k x . eta(alpha_j)} and its gradient
+    v = 0j
+    g1 = 0j
+    g2 = 0j
+    for c, a in terms:
+        e = np.exp(1j * k * (x1 * math.cos(a) + x2 * math.sin(a)))
+        v = v + c * e
+        if grad:
+            g1 = g1 + c * 1j * k * math.cos(a) * e
+            g2 = g2 + c * 1j * k * math.sin(a) * e
+    return v, g1, g2
 
 
-def _harm_parts(k: float, n: int, x):
-    x1, x2 = complex(x[0]), complex(x[1])
-    m = abs(n)
+def _harmonics(k: float, terms, x1, x2, grad: bool):
+    # h_n = 2 pi i^|n| (k/2)^|n| s^|n| G_|n|(w), s = x1 +/- i x2, w = k^2 (x.x)/4;
+    # d/dx_j G_m(w) = -G_{m+1}(w) k^2 x_j / 2.  Each distinct order G_m is
+    # evaluated once, for +n and -n and for the value and the gradient alike
     w = 0.25 * k * k * (x1 * x1 + x2 * x2)
-    s = x1 + 1j * x2 if n >= 0 else x1 - 1j * x2
-    pref = 2.0 * math.pi * _I_POW[m % 4] * (0.5 * k) ** m
-    return x1, x2, m, w, s, pref
+    orders = {abs(n) for n, _ in terms}
+    if grad:
+        orders |= {m + 1 for m in orders}
+    G = {m: bessel_g(m, w) for m in sorted(orders)}
+    v = 0j
+    g1 = 0j
+    g2 = 0j
+    for n, c in terms:
+        m = abs(n)
+        s = x1 + 1j * x2 if n >= 0 else x1 - 1j * x2
+        pref = 2.0 * math.pi * _I_POW[m % 4] * (0.5 * k) ** m
+        sm = s**m
+        v = v + c * (pref * sm * G[m])
+        if grad:
+            radial = sm * (0.5 * k * k) * G[m + 1]
+            lead = m * s ** (m - 1) * G[m] if m > 0 else 0.0
+            sgn = 1j if n >= 0 else -1j
+            g1 = g1 + c * (pref * (lead - radial * x1))
+            g2 = g2 + c * (pref * (sgn * lead - radial * x2))
+    return v, g1, g2
 
 
-def _harm_value(k: float, n: int, x) -> complex:
-    x1, x2, m, w, s, pref = _harm_parts(k, n, x)
-    return pref * s**m * bessel_g(m, w)
-
-
-def _harm_gradient(k: float, n: int, x) -> tuple[complex, complex]:
-    x1, x2, m, w, s, pref = _harm_parts(k, n, x)
-    gm = bessel_g(m, w)
-    gm1 = bessel_g(m + 1, w)
-    # d/dx G_m(w) = -G_{m+1}(w) * k^2 x_j / 2
-    radial = s**m * (0.5 * k * k) * gm1
-    lead = m * s ** (m - 1) * gm if m > 0 else 0.0
-    sgn = 1j if n >= 0 else -1j
-    v1 = pref * (lead - radial * x1)
-    v2 = pref * (sgn * lead - radial * x2)
-    return (v1, v2)
-
-
-def value(w: WaveModel, x) -> complex:
-    """u(x) at a (possibly complex) point x = (x1, x2)."""
+def _fields(w: WaveModel, x, grad: bool):
+    """(u, du/dx1, du/dx2) at the points x = (x1, x2), with a converter to the result type."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x[0], dtype=complex), np.asarray(x[1], dtype=complex))
     if isinstance(w, PlaneWave):
-        return _plane_value(w.k, w.alpha, x)
-    if isinstance(w, PlaneCombo):
-        return sum((c * _plane_value(w.k, a, x) for c, a in w.terms), 0j)
-    if isinstance(w, CircularHarmonic):
-        return _harm_value(w.k, w.n, x)
-    if isinstance(w, HerglotzTrunc):
-        return sum((c * _harm_value(w.k, n, x) for n, c in w.psi), 0j)
-    raise TypeError(f"not a wave model: {w!r}")
+        out = _planes(w.k, ((1.0, w.alpha),), x1, x2, grad)
+    elif isinstance(w, PlaneCombo):
+        out = _planes(w.k, w.terms, x1, x2, grad)
+    elif isinstance(w, CircularHarmonic):
+        out = _harmonics(w.k, ((w.n, 1.0),), x1, x2, grad)
+    elif isinstance(w, HerglotzTrunc):
+        out = _harmonics(w.k, w.psi, x1, x2, grad)
+    else:
+        raise TypeError(f"not a wave model: {w!r}")
+
+    def shaped(f):
+        # complex for scalar coordinates; an empty sum (0j) fills an array
+        if x1.ndim == 0:
+            return complex(f)
+        return f if np.shape(f) == x1.shape else np.full(x1.shape, f, dtype=complex)
+
+    return out, shaped
 
 
-def gradient(w: WaveModel, x) -> tuple[complex, complex]:
-    """grad u(x), componentwise entire in (x1, x2)."""
-    if isinstance(w, PlaneWave):
-        v = _plane_value(w.k, w.alpha, x)
-        return (1j * w.k * math.cos(w.alpha) * v, 1j * w.k * math.sin(w.alpha) * v)
-    if isinstance(w, PlaneCombo):
-        g1 = 0j
-        g2 = 0j
-        for c, a in w.terms:
-            v = _plane_value(w.k, a, x)
-            g1 += c * 1j * w.k * math.cos(a) * v
-            g2 += c * 1j * w.k * math.sin(a) * v
-        return (g1, g2)
-    if isinstance(w, CircularHarmonic):
-        return _harm_gradient(w.k, w.n, x)
-    if isinstance(w, HerglotzTrunc):
-        g1 = 0j
-        g2 = 0j
-        for n, c in w.psi:
-            h1, h2 = _harm_gradient(w.k, n, x)
-            g1 += c * h1
-            g2 += c * h2
-        return (g1, g2)
-    raise TypeError(f"not a wave model: {w!r}")
+def value(w: WaveModel, x):
+    """u(x) at (possibly complex) points x = (x1, x2): complex for scalar
+    coordinates, a complex array for array coordinates."""
+    (v, _, _), shaped = _fields(w, x, grad=False)
+    return shaped(v)
+
+
+def gradient(w: WaveModel, x):
+    """grad u(x), componentwise entire in (x1, x2); each component shaped like value's result."""
+    (_, g1, g2), shaped = _fields(w, x, grad=True)
+    return (shaped(g1), shaped(g2))
 
 
 def sample(w: WaveModel, x) -> WaveSample:
-    return WaveSample(v=value(w, x), V=gradient(w, x))
+    (v, g1, g2), shaped = _fields(w, x, grad=True)
+    return WaveSample(v=shaped(v), V=(shaped(g1), shaped(g2)))

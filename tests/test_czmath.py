@@ -252,3 +252,62 @@ def test_bessel_j_envelope_hypothesis(n, r, theta):
     z = cmath.rect(r, theta)
     ref = sps.jv(n, z)
     assert abs(bessel_j(n, z) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _j_from_g(n, w, g):
+    # J_n(2 sqrt(w)) = sqrt(w)^n G_n(w); the branch of sqrt cancels
+    s = np.sqrt(np.asarray(w, dtype=complex))
+    return s**n * g, sps.jv(n, 2.0 * s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=9999.0), st.floats(min_value=-math.pi, max_value=math.pi)),
+        min_size=0,
+        max_size=8,
+    ),
+)
+def test_bessel_g_envelope_hypothesis(n, polar):
+    # scalar and array calls, both sides of the series cut, against scipy
+    w = np.array([cmath.rect(r, th) for r, th in polar], dtype=complex)
+    arr = bessel_g(n, w)
+    assert arr.shape == w.shape and arr.dtype == complex
+    for i, wi in enumerate(w):
+        one = bessel_g(n, complex(wi))
+        assert isinstance(one, complex)
+        for g in (one, arr[i]):
+            got, ref = _j_from_g(n, wi, g)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, wi)
+
+
+def test_bessel_g_array_shape():
+    w = np.array([[0.5, -3.0 + 1.0j, 29.0], [16.5j, 0.0, -100.0]])
+    out = bessel_g(3, w)
+    assert out.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert abs(out[i, j] - bessel_g(3, complex(w[i, j]))) <= 1e-15 * max(1.0, abs(out[i, j]))
+
+
+def test_bessel_g_pinned_past_old_series_cut():
+    # |w| = 29 once ran the series, which was off by 1.5e-13 of max(1, |J|)
+    got, ref = _j_from_g(2, 29.0, bessel_g(2, 29.0))
+    assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_bessel_j_and_jp_on_arrays():
+    # array calls meet the scalar contract on both sides of the series cut
+    rng = np.random.default_rng(11)
+    z = (rng.uniform(0.0, 30.0, 40) * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))).reshape(8, 5)
+    z[0, 0] = 0.0
+    for n in (-3, 0, 1, 4):
+        j, jp = bessel_j(n, z), bessel_jp(n, z)
+        assert j.shape == jp.shape == z.shape
+        ref, refp = sps.jv(n, z), sps.jvp(n, z)
+        assert np.all(np.abs(j - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(jp - refp) <= 1e-12 * np.maximum(1.0, np.abs(refp)))
+    assert bessel_j(2, np.array([])).shape == (0,)
+    with pytest.raises(AccuracyEnvelopeExceeded):
+        bessel_j(0, np.array([1.0, 200.5]))

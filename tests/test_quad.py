@@ -21,6 +21,7 @@ from nonscatter.quad import (
     lambda_sweep,
     sweep_to_csv,
 )
+from nonscatter import waves as _waves
 from nonscatter.waves import CircularHarmonic, PlaneWave, sample as wave_sample
 
 PI = math.pi
@@ -195,15 +196,34 @@ def test_lambda_sweep_records(curves, saddles, paths):
         assert abs(r.resid - r.lam**1.5 * cmath.exp(-r.lam * sp.g0) * r.I_raw) <= 1e-9 * max(1.0, abs(r.resid))
 
 
-def test_lambda_sweep_thread_pool_matches_serial(curves, saddles, paths, monkeypatch):
+def test_lambda_sweep_is_deterministic(curves, saddles, paths):
+    # sharing node data across lam changes no bit of any record
     sp, path = saddles["ellipse"], paths["ellipse"]
     wave = PlaneWave(k=1.0, alpha=0.0)
-    serial = lambda_sweep(curves["ellipse"], wave, 2.0, [2.0, 3.0, 4.0, 5.0], 1.5, sp.g0, path)
-    monkeypatch.setenv("NONSCATTER_THREADS", "3")
-    threaded = lambda_sweep(curves["ellipse"], wave, 2.0, [2.0, 3.0, 4.0, 5.0], 1.5, sp.g0, path)
-    assert [r.lam for r in threaded] == [r.lam for r in serial]
-    for a, b in zip(serial, threaded):
-        assert a.resid == b.resid and a.I_raw == b.I_raw
+    grid = [2.0, 3.0, 4.0, 5.0]
+    first = lambda_sweep(curves["ellipse"], wave, 2.0, grid, 1.5, sp.g0, path)
+    again = lambda_sweep(curves["ellipse"], wave, 2.0, grid, 1.5, sp.g0, path)
+    assert first == again
+    for r in first:
+        alone = boundary_integral_I(curves["ellipse"], wave, 2.0, r.lam, path, QuadOptions(g0=sp.g0))
+        assert r.resid == r.lam**1.5 * alone
+
+
+@pytest.mark.parametrize("key", ["ellipse", "deltoid"])
+def test_lambda_sweep_evaluates_each_node_set_once(curves, saddles, paths, monkeypatch, key):
+    # the ellipse runs Gauss panels on its contour, the deltoid the real-interval trapezoid
+    seen = []
+
+    def counting(wave, x):
+        seen.append(np.asarray(x[0]).tobytes())
+        return wave_sample(wave, x)
+
+    monkeypatch.setattr(_waves, "sample", counting)
+    path = paths[key] if key == "ellipse" else None
+    grid = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+    recs = lambda_sweep(curves[key], CircularHarmonic(k=1.0, n=2), 2.0, grid, 1.5, saddles[key].g0, path)
+    assert len(recs) == len(grid)
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_fit_decay_needs_four_points():

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonscatter.czmath import bessel_j
+from nonscatter.czmath import bessel_g, bessel_j
 from nonscatter.waves import (
     CircularHarmonic,
     HerglotzTrunc,
@@ -170,3 +173,107 @@ def test_wave_validation():
         CircularHarmonic(k=-1.0, n=2)
     with pytest.raises(ValueError):
         HerglotzTrunc(k=1.0, psi=((65, 1.0),))
+
+
+# --- array evaluation -------------------------------------------------------
+
+_coef = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_k = st.floats(min_value=0.5, max_value=3.0)
+_alpha = st.floats(min_value=-math.pi, max_value=math.pi)
+_order = st.integers(min_value=-6, max_value=6)
+
+_models = st.one_of(
+    st.builds(PlaneWave, k=_k, alpha=_alpha),
+    st.builds(PlaneCombo, k=_k, terms=st.lists(st.tuples(_coef, _alpha), min_size=1, max_size=4).map(tuple)),
+    st.builds(CircularHarmonic, k=_k, n=_order),
+    st.builds(HerglotzTrunc, k=_k, psi=st.dictionaries(_order, _coef, min_size=1, max_size=5).map(lambda d: tuple(d.items()))),
+)
+
+_points = st.lists(
+    st.tuples(
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=0,
+    max_size=10,
+).map(lambda pts: (np.array([p[0] for p in pts], dtype=complex), np.array([p[1] for p in pts], dtype=complex)))
+
+
+def _majorant(w, x):
+    """Sums of the moduli of all that the value and the gradient add up, plane
+    terms or harmonic terms with their G_m series (G_m(-W) bounds the series of
+    G_m(w) termwise for |w| <= W): the size that roundoff is relative to."""
+    x1, x2 = x
+    k = w.k
+    if isinstance(w, (PlaneWave, PlaneCombo)):
+        terms = w.terms if isinstance(w, PlaneCombo) else ((1.0, w.alpha),)
+        v = sum(abs(c) * abs(cmath.exp(1j * k * (x1 * math.cos(a) + x2 * math.sin(a)))) for c, a in terms)
+        return v, k * v
+    terms = w.psi if isinstance(w, HerglotzTrunc) else ((w.n, 1.0),)
+    big_w = 0.25 * k * k * (abs(x1) ** 2 + abs(x2) ** 2)
+    size = abs(x1) + abs(x2)
+    v = g = 0.0
+    for n, c in terms:
+        m = abs(n)
+        pref = abs(c) * 2.0 * math.pi * (0.5 * k) ** m
+        gm, gm1 = bessel_g(m, -big_w).real, bessel_g(m + 1, -big_w).real
+        v += pref * size**m * gm
+        g += pref * ((m * size ** (m - 1) * gm if m else 0.0) + size**m * 0.5 * k * k * gm1 * size)
+    return v, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models, _points)
+def test_array_matches_per_point(w, pts):
+    x1, x2 = pts
+    s = sample(w, (x1, x2))
+    assert s.v.shape == x1.shape and s.V[0].shape == x1.shape and s.V[1].shape == x1.shape
+    assert np.array_equal(value(w, (x1, x2)), s.v)
+    g = gradient(w, (x1, x2))
+    assert np.array_equal(g[0], s.V[0]) and np.array_equal(g[1], s.V[1])
+    for i in range(len(x1)):
+        x = (complex(x1[i]), complex(x2[i]))
+        one = sample(w, x)
+        assert isinstance(one.v, complex) and isinstance(one.V[0], complex)
+        vsize, gsize = _majorant(w, x)
+        for arr, pt, size in zip((s.v, s.V[0], s.V[1]), (one.v, one.V[0], one.V[1]), (vsize, gsize, gsize)):
+            assert abs(arr[i] - pt) <= 1e-14 * size
+
+
+@settings(max_examples=150, deadline=None)
+@given(_k, _order, _points)
+def test_harmonic_matches_scipy_at_complex_points(k, n, pts):
+    # h_n = 2 pi i^n (x1 +/- i x2)^|n| (k/2)^|n| J_|n|(kr) / (kr/2)^|n|, whose
+    # last factor is even in r = sqrt(x1^2 + x2^2), so no branch is chosen
+    x1, x2 = pts
+    m = abs(n)
+    kr = k * np.sqrt(x1 * x1 + x2 * x2)
+    keep = np.abs(kr) > 1e-3
+    x1, x2, kr = x1[keep], x2[keep], kr[keep]
+    s = x1 + 1j * x2 if n >= 0 else x1 - 1j * x2
+    g_ref = sps.jv(m, kr) / (0.5 * kr) ** m
+    lead = 2.0 * math.pi * 1j**m * (0.5 * k * s) ** m
+    got = value(CircularHarmonic(k=k, n=n), (x1, x2))
+    assert np.all(np.abs(got - lead * g_ref) <= 1e-12 * np.abs(lead) * np.maximum(1.0, np.abs(g_ref)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_models, _points)
+def test_helmholtz_residual_at_complex_points(w, pts):
+    x1, x2 = pts
+    h = 1e-4
+
+    def lap(step):
+        c = value(w, (x1, x2))
+        s = (
+            value(w, (x1 + step, x2))
+            + value(w, (x1 - step, x2))
+            + value(w, (x1, x2 + step))
+            + value(w, (x1, x2 - step))
+        )
+        return (s - 4 * c) / step**2
+
+    residual = (4 * lap(h) - lap(2 * h)) / 3 + w.k**2 * value(w, (x1, x2))
+    for i in range(len(x1)):
+        size = _majorant(w, (complex(x1[i]), complex(x2[i])))[0]
+        assert abs(residual[i]) <= 1e-6 * max(1.0, w.k**2) * max(1.0, size)
