@@ -39,6 +39,7 @@ __all__ = [
 
 SIMPLE_REL = 1e-8
 RESIDUAL_REL = 1e-10
+_S_WINDOW = 3.5  # |Im t| of the roots find_saddles polishes; its rect keeps |Im t| <= 3
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class SaddlePoint:
 
 @dataclass
 class LevelSetGrid:
-    """Sampled field Re g - Re g(t0) on [-pi,pi] x [s_min,s_max] with zero-level polylines."""
+    """Sampled field Re g - Re g(t0) on the level_region rect with zero-level polylines."""
 
     r: np.ndarray
     s: np.ndarray
@@ -132,11 +133,73 @@ def _gpp_scale(curve: TrigCurve) -> float:
     return float(max(tot.sum(), 1e-300))
 
 
-def find_saddles(curve: TrigCurve, rect=None, tol: float = 1e-12, grid_n: int = 40) -> list[SaddlePoint]:
-    """Newton on g' = 0 from a grid_n x grid_n seed grid, deduplicated mod 2 pi.
+def _gp_poly(curve: TrigCurve) -> np.ndarray:
+    """Coefficients of w^M g'(t), w = e^{it}, highest power first.
+
+    With A = a1 + i a2 and B = b1 + i b2, the term A cos mt + B sin mt of g is
+    c_m w^m + c_-m w^-m with c_+-m = (A -+ i B) / 2, so g' has the coefficients
+    +-i m c_+-m.
+    """
+    m = np.arange(1, len(curve.a1))
+    A = np.asarray(curve.a1[1:]) + 1j * np.asarray(curve.a2[1:])
+    B = np.asarray(curve.b1[1:]) + 1j * np.asarray(curve.b2[1:])
+    up = 0.5j * m * (A - 1j * B)
+    down = -0.5j * m * (A + 1j * B)
+    return np.concatenate([up[::-1], [0j], down])
+
+
+def _trimmed_roots(p: np.ndarray, rel: float) -> np.ndarray:
+    """np.roots of p after dropping end coefficients at or below rel * max|p|.
+
+    A zero leading or trailing coefficient stands for a root at w = infinity
+    or w = 0, which no finite t reaches (the circle has only those).
+    """
+    nz = np.flatnonzero(np.abs(p) > rel * np.abs(p).max())
+    return np.roots(p[nz[0]:nz[-1] + 1]) if nz.size else np.empty(0, complex)
+
+
+def _merge_multiple(curve: TrigCurve, ws: np.ndarray, scale_pp: float) -> list[complex]:
+    """Roots w of the g' polynomial as values of t, each multiple root once.
+
+    A root of multiplicity k comes out of np.roots as k copies spread by about
+    eps^(1/k); their mean is accurate to roundoff.  Copies within 1e-4 |w| of
+    one another are replaced by their mean when g'' vanishes there, so that
+    two distinct simple roots that happen to lie close both survive.
+    """
+    groups: list[list[complex]] = []
+    for w in ws:
+        for grp in groups:
+            if abs(w - grp[0]) <= 1e-4 * abs(grp[0]):
+                grp.append(w)
+                break
+        else:
+            groups.append([w])
+    out = []
+    for grp in groups:
+        ts = [-1j * cmath.log(w) for w in grp]
+        if len(grp) > 1:
+            mean = -1j * cmath.log(sum(grp) / len(grp))
+            if abs(g_jet(curve, mean, order=2)[2]) <= SIMPLE_REL * scale_pp:
+                ts = [mean]
+        out.extend(ts)
+    return out
+
+
+def find_saddles(curve: TrigCurve, rect=None) -> list[SaddlePoint]:
+    """Every zero t0 of g' in rect, from the companion matrix of w^M g'(t).
+
+    g' is a trigonometric polynomial of degree M, so with w = e^{it} the
+    function w^M g'(t) is a polynomial of degree 2M in w and np.roots gives
+    all its roots; t = -i log w.  Each root is polished by Newton steps on
+    g' (none where g'' vanishes: Newton divides roundoff by roundoff at a
+    multiple root) and kept when Im t lies in [s_lo, s_hi] and Re t mod 2 pi
+    in [r_lo, r_hi].  Re t is reported in [-pi, pi].
 
     Saddles on the seam Re t = +/- pi are excluded: the asymptotics needs an
     interior crossing point, and the seam pair duplicates an interior orbit.
+    Roots closer than 1e-8 count once; a root whose g'' is below SIMPLE_REL of
+    its scale is reported once, with simple=False.  Sorted by decreasing Re g0,
+    then by Re t0 and Im t0 among saddles whose Re g0 agree to 1e-12.
     """
     if rect is None:
         rect = ((-math.pi, math.pi), (-1.5, 1.5))
@@ -146,41 +209,33 @@ def find_saddles(curve: TrigCurve, rect=None, tol: float = 1e-12, grid_n: int = 
     scale_p = _gp_scale(curve)
     scale_pp = _gpp_scale(curve)
 
-    rs = np.linspace(r_lo, r_hi, grid_n, endpoint=False) + (r_hi - r_lo) / (2 * grid_n)
-    ss = np.linspace(s_lo, s_hi, grid_n, endpoint=False) + (s_hi - s_lo) / (2 * grid_n)
-    ts = (rs[None, :] + 1j * ss[:, None]).ravel()
-    alive = np.ones(ts.shape, dtype=bool)
-    for _ in range(60):
-        jets = eval_jets(curve, ts, order=2)
-        gp = jets[1][0] + 1j * jets[1][1]
-        gpp = jets[2][0] + 1j * jets[2][1]
-        gpp = np.where(np.abs(gpp) < 1e-30, 1e-30, gpp)
-        step = gp / gpp
-        big = np.abs(step) > 0.5
-        step[big] *= 0.5 / np.abs(step[big])
-        ts = np.where(alive, ts - step, ts)
-        alive &= np.abs(ts.imag) <= 3.0
-    jets = eval_jets(curve, ts, order=2)
-    gp = jets[1][0] + 1j * jets[1][1]
-    ok = alive & (np.abs(gp) <= RESIDUAL_REL * scale_p) & np.isfinite(ts)
-
+    p = _gp_poly(curve)
+    eps = np.finfo(float).eps
+    # An end term below eps * max|p| * e^(-2 S n) stays under the roundoff of
+    # p's largest term wherever e^-S <= |w| <= e^S, so dropping it loses no
+    # root there (and keeps np.roots from overflowing).  But np.roots loses
+    # the roots near |w| = 1 when an end coefficient sits more than 1/eps
+    # below its neighbour, so the roots without ends below eps * max|p| join.
+    ws = _trimmed_roots(p, eps * math.exp(-2 * _S_WINDOW * (len(p) - 1)))
+    core = _trimmed_roots(p, eps)
+    if len(core) < len(ws):
+        ws = np.concatenate([ws, core])
+    # |Im t| = |log |w||: drop far roots (and w = 0) before any jet can overflow
+    with np.errstate(divide="ignore"):
+        ws = ws[np.abs(np.log(np.abs(ws))) <= _S_WINDOW]
     found: list[complex] = []
-    for t in ts[ok]:
-        r = math.remainder(t.real, 2.0 * math.pi)
-        if abs(abs(r) - math.pi) <= 1e-8:
-            continue
-        cand = complex(r, t.imag)
-        if any(abs(cand - f) <= 1e-8 for f in found):
-            continue
-        # polish with a few scalar Newton steps
-        z = cand
-        for _ in range(4):
+    for z in _merge_multiple(curve, ws, scale_pp):
+        for _ in range(3):
             g = g_jet(curve, z, order=2)
-            if abs(g[2]) < 1e-30:
+            if abs(g[2]) <= SIMPLE_REL * scale_pp:
                 break
             z = z - g[1] / g[2]
-        if abs(z - cand) > 1e-6:
+        r = math.remainder(z.real, 2.0 * math.pi)
+        if abs(abs(r) - math.pi) <= 1e-8 or not s_lo <= z.imag <= s_hi:
             continue
+        if r + 2.0 * math.pi * math.ceil((r_lo - r) / (2.0 * math.pi)) > r_hi:
+            continue
+        z = complex(r, z.imag)
         if any(abs(z - f) <= 1e-8 for f in found):
             continue
         found.append(z)
@@ -193,7 +248,10 @@ def find_saddles(curve: TrigCurve, rect=None, tol: float = 1e-12, grid_n: int = 
         saddles.append(
             SaddlePoint(t0=z, g0=g0, g2=g2, g3=g3, simple=abs(g2) > SIMPLE_REL * scale_pp)
         )
-    saddles.sort(key=lambda sp: (-sp.g0.real, sp.t0.real, sp.t0.imag))
+    # Re g0 to 12 digits of the largest |g0|, so that saddles which symmetry
+    # puts on one level are ordered by Re t0, not by the roundoff of Re g0
+    quantum = 1e-12 * max((abs(sp.g0) for sp in saddles), default=1.0) or 1.0
+    saddles.sort(key=lambda sp: (-round(sp.g0.real / quantum), sp.t0.real, sp.t0.imag))
     return saddles
 
 
@@ -321,9 +379,15 @@ def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = 481, ns
         raise ValueError("grid resolution must be at least 400 x 300")
     r = np.linspace(r_lo, r_hi, nr)
     s = np.linspace(s_lo, s_hi, ns)
-    tt = r[None, :] + 1j * s[:, None]
-    jets = eval_jets(curve, tt.ravel(), order=0)
-    re_g = (jets[0][0] + 1j * jets[0][1]).real.reshape(ns, nr)
+    # Re[A cos m(r+is) + B sin m(r+is)] = cosh ms (a1 cos mr + b1 sin mr)
+    #                                   + sinh ms (a2 sin mr - b2 cos mr)
+    m = np.arange(len(curve.a1), dtype=float)
+    mr = np.multiply.outer(m, r)
+    ms = np.multiply.outer(s, m)
+    cos_mr, sin_mr = np.cos(mr), np.sin(mr)
+    even = np.asarray(curve.a1)[:, None] * cos_mr + np.asarray(curve.b1)[:, None] * sin_mr
+    odd = np.asarray(curve.a2)[:, None] * sin_mr - np.asarray(curve.b2)[:, None] * cos_mr
+    re_g = np.cosh(ms) @ even + np.sinh(ms) @ odd
     values = re_g - sp.g0.real
     polylines = _march(values, r, s)
     return LevelSetGrid(r=r, s=s, values=values, polylines=polylines, t0=sp.t0)
@@ -368,11 +432,17 @@ def _bfs(mask: np.ndarray, source, target=None) -> np.ndarray:
     parent[src] = src
     steps = np.array([-w, w, -1, 1])
     frontier = np.array([src])
+    # first[c]: position of cell c's first occurrence among the candidates
+    none = np.iinfo(np.intp).max
+    first = np.full(open_.size, none, dtype=np.intp)
     while frontier.size and (tgt is None or parent[tgt] < 0):
         cand = (frontier[:, None] + steps).ravel()
         pos = np.flatnonzero(open_[cand] & (parent[cand] < 0))
-        _, first = np.unique(cand[pos], return_index=True)
-        pos = pos[np.sort(first)]
+        cells = cand[pos]
+        k = np.arange(cells.size)
+        np.minimum.at(first, cells, k)
+        pos = pos[first[cells] == k]
+        first[cells] = none
         parent[cand[pos]] = frontier[pos // 4]
         frontier = cand[pos]
     parent = parent.reshape(ns + 2, w)[1:-1, 1:-1]

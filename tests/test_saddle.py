@@ -4,10 +4,10 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nonscatter.curves import TrigCurve, builtin, eval_jet
+from nonscatter.curves import TrigCurve, builtin, eval_jet, eval_jets
 from nonscatter.errors import (
     BranchUnresolvable,
     EndpointAboveLevel,
@@ -69,6 +69,8 @@ def test_find_saddles_full_sets(curves):
     s_off = -0.5 * math.log((2.0 + math.sqrt(7.0)) / 3.0)
     assert abs(offaxis[0].t0 - complex(-PI / 2, s_off)) < 1e-10
     assert abs(offaxis[1].t0 - complex(+PI / 2, s_off)) < 1e-10
+    # the off-axis pair shares Re g0 = 0 up to roundoff; Re t0 breaks the tie
+    assert ncv[1:] == offaxis
 
 
 def test_saddles_are_true_roots_and_stable(curves, saddles):
@@ -84,18 +86,120 @@ def test_saddles_are_true_roots_and_stable(curves, saddles):
         assert abs(jet.g3 - sp.g3) <= 1e-12 * max(1.0, abs(sp.g3))
 
 
-def test_find_saddles_grid_refinement_invariant(curves):
-    for key in ("ellipse", "cardioid", "deltoid", "nonconvex"):
-        a = find_saddles(curves[key], grid_n=40)
-        b = find_saddles(curves[key], grid_n=80)
-        assert len(a) == len(b)
-        for sa, sb in zip(a, b):
-            assert abs(sa.t0 - sb.t0) < 1e-10
+def _laurent_curve(c):
+    """TrigCurve with g(t) = sum_k c[k] e^{ikt} (any complex c gives a real curve)."""
+    deg = max(abs(k) for k in c)
+    rows = [[0.0] * (deg + 1) for _ in range(4)]
+    for m in range(deg + 1):
+        cp, cm = complex(c.get(m, 0)), complex(c.get(-m, 0))
+        # c_m w^m + c_-m w^-m = (c_m + c_-m) cos mt + i (c_m - c_-m) sin mt
+        A, B = (cp, 0j) if m == 0 else (cp + cm, 1j * (cp - cm))
+        rows[0][m], rows[1][m], rows[2][m], rows[3][m] = A.real, B.real, A.imag, B.imag
+    return TrigCurve(*rows, check=False)
+
+
+def _reference_saddles(a1, b1, a2, b2):
+    """Zeros of g' with |Im t| <= 1.5 off the seam, by mpmath.polyroots at 40 digits.
+
+    x_j' = sum_m m (b_jm cos mt - a_jm sin mt) has the coefficient
+    m (b_jm +- i a_jm) / 2 at w^(+-m), w = e^{it}; g' = x1' + i x2'.
+    Returns None when the example is too close to a filter edge to compare.
+    """
+    import mpmath
+
+    deg = len(a1) - 1
+    coef = {}
+    with mpmath.workdps(40):
+        for m in range(1, deg + 1):
+            for sgn in (1, -1):
+                x1p = m * (mpmath.mpf(b1[m]) + sgn * 1j * mpmath.mpf(a1[m])) / 2
+                x2p = m * (mpmath.mpf(b2[m]) + sgn * 1j * mpmath.mpf(a2[m])) / 2
+                coef[sgn * m] = x1p + 1j * x2p
+        # w^deg g'(t), highest power first, zero ends dropped (roots at 0 and infinity)
+        poly = [coef.get(k, mpmath.mpc(0)) for k in range(deg, -deg - 1, -1)]
+        while poly and poly[0] == 0:
+            poly.pop(0)
+        while poly and poly[-1] == 0:
+            poly.pop()
+        if len(poly) < 2:
+            return []
+        try:
+            ws = mpmath.polyroots(poly, maxsteps=400, extraprec=200)
+        except mpmath.libmp.NoConvergence:
+            return None
+        ts = [complex(-1j * mpmath.log(w)) for w in ws]
+    near = [t for t in ts if abs(t.imag) < 2.0]
+    if any(abs(p - q) < 1e-6 for i, p in enumerate(near) for q in near[i + 1:]):
+        return None
+    if any(abs(abs(t.imag) - 1.5) < 1e-6 or abs(abs(t.real) - PI) < 1e-6 for t in near):
+        return None
+    return [t for t in near if abs(t.imag) <= 1.5]
+
+
+_coef = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(st.lists(_coef, min_size=d + 1, max_size=d + 1), min_size=4, max_size=4)))
+# w^2 g' = -e w^4 + i (w^3 + w) / 2 + e, e = 5e-26: the end coefficients sit 1e25 below their neighbours
+@example([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 4.838283560688076e-26], [0.0, 1.0, 0.0]])
+def test_find_saddles_matches_mpmath_roots(rows):
+    # an independent reference: roots of the same polynomial at 40 digits
+    a1, b1, a2, b2 = rows
+    b1[0] = b2[0] = 0.0
+    assume(any(x != 0.0 for row in rows for x in row[1:]))
+    want = _reference_saddles(a1, b1, a2, b2)
+    assume(want is not None)
+    got = [sp.t0 for sp in find_saddles(TrigCurve(a1, b1, a2, b2, check=False))]
+    assert len(got) == len(want)
+    # reference roots lie 1e-6 apart, so each has one nearest match
+    assert sorted(min(range(len(got)), key=lambda i: abs(got[i] - u)) for u in want) == list(range(len(got)))
+    for u in want:
+        assert min(abs(t - u) for t in got) <= 1e-10
+
+
+def test_find_saddles_multiple_roots():
+    # g = (w - w0)^(k+1) (w - 1/2) / w: g' has a zero of multiplicity k at t = -i log w0
+    for t_star in (0.3j, 0.7 + 0.3j, -2.9 - 0.2j, 0j):
+        w0 = cmath.exp(1j * t_star)
+        for k in (2, 3):
+            poly = np.poly1d([1.0, -0.5])
+            for _ in range(k + 1):
+                poly = poly * np.poly1d([1.0, -w0])
+            curve = _laurent_curve({j - 1: c for j, c in enumerate(poly.coeffs[::-1])})
+            found = find_saddles(curve)
+            at = [sp for sp in found if abs(sp.t0 - t_star) < 1e-3]
+            assert len(at) == 1
+            assert not at[0].simple
+            assert abs(at[0].t0 - t_star) < 1e-10
+            assert sum(sp.simple for sp in found) == len(found) - 1
+
+
+def test_find_saddles_ignores_negligible_end_coefficients(curves):
+    # a top coefficient far below roundoff carries no root in the window, and
+    # must not overflow the companion matrix
+    ell = curves["ellipse"]
+    tiny = TrigCurve(a1=ell.a1 + (0.0, 1e-300), b1=ell.b1, a2=ell.a2, b2=ell.b2 + (0.0, 0.0, 3e-310), check=False)
+    assert [sp.t0 for sp in find_saddles(tiny)] == [sp.t0 for sp in find_saddles(ell)]
+    assert find_saddles(TrigCurve(a1=(2.0,), b1=(), a2=(), b2=(), check=False)) == []
 
 
 def test_find_saddles_rect_validation(curves):
     with pytest.raises(ValueError):
         find_saddles(curves["ellipse"], rect=((-PI, PI), (-5.0, 5.0)))
+
+
+def test_find_saddles_keeps_rect(curves):
+    # deltoid saddles at 0 and +-2pi/3; Re t is matched mod 2 pi, reported in [-pi, pi]
+    def re_t0(rect):
+        return sorted(round(sp.t0.real, 9) for sp in find_saddles(curves["deltoid"], rect=rect))
+
+    third = round(2 * PI / 3, 9)
+    assert re_t0(((0.0, PI), (-1.5, 1.5))) == [0.0, third]
+    assert re_t0(((PI / 2, 5 * PI / 2), (-1.5, 1.5))) == [-third, 0.0, third]
+    assert re_t0(((1.0, 2.0), (-1.5, 1.5))) == []
+    # nonconvex: one saddle above the real axis, two below
+    assert [sp.t0.imag > 0 for sp in find_saddles(curves["nonconvex"], rect=((-PI, PI), (0.0, 1.5)))] == [True]
 
 
 def test_level_region_shape_and_level(curves, saddles, grids):
@@ -105,6 +209,19 @@ def test_level_region_shape_and_level(curves, saddles, grids):
     assert g.polylines
     # values store Re g(t) - Re g(t0): zero at the saddle
     assert abs(g.value_at(saddles["ellipse"].t0)) < 1e-3
+
+
+def test_level_region_matches_eval_jets(curves, saddles, grids):
+    # the separable product against the termwise jets, on the default rect and
+    # on a wider one whose r runs past +-pi
+    cases = [(key, grids[key]) for key in grids]
+    cases.append(("cardioid", level_region(curves["cardioid"], saddles["cardioid"], rect=((-4.0, 4.0), (-0.5, 2.0)), nr=400, ns=300)))
+    for key, g in cases:
+        tt = g.r[None, :] + 1j * g.s[:, None]
+        x1, x2 = eval_jets(curves[key], tt.ravel(), order=0)[0]
+        re_g = (x1 + 1j * x2).real.reshape(tt.shape)
+        want = re_g - saddles[key].g0.real
+        assert np.abs(g.values - want).max() <= 1e-13 * np.abs(re_g).max()
 
 
 def test_level_region_requires_resolution(curves, saddles):
