@@ -8,12 +8,10 @@ Usage:
 """
 
 import argparse
-import math
 import os
 
-from nonscatter.asymptotics import disk_herglotz_closed_form, nonscattering_wavenumbers
+from nonscatter.asymptotics import disk_herglotz_closed_form, nonscattering_wavenumbers, radial_wronskian
 from nonscatter.curves import builtin
-from nonscatter.czmath import bessel_j, bessel_jp
 from nonscatter.quad import boundary_integral_I
 from nonscatter.waves import CircularHarmonic
 
@@ -26,7 +24,6 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
     q = args.q
-    rq = math.sqrt(q)
 
     lines = ["n,k,abs_C,abs_I_lam1,abs_I_lam5"]
     circle = builtin("circle", 1.0)
@@ -34,7 +31,7 @@ def main():
         roots = nonscattering_wavenumbers(n, q, args.k_max)
         print(f"n = {n}: {len(roots)} roots below {args.k_max}")
         for kj in roots:
-            cval = bessel_jp(n, kj) * bessel_j(n, kj * rq) - rq * bessel_j(n, kj) * bessel_jp(n, kj * rq)
+            cval = radial_wronskian(n, q, kj)
             i1 = abs(boundary_integral_I(circle, CircularHarmonic(k=kj, n=n), q, 1.0))
             i5 = abs(boundary_integral_I(circle, CircularHarmonic(k=kj, n=n), q, 5.0))
             print(f"  k = {kj:.12f}  |C| = {abs(cval):.2e}  |I(1)| = {i1:.2e}  |I(5)| = {i5:.2e}")

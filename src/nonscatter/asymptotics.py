@@ -36,6 +36,7 @@ __all__ = [
     "corner_constants",
     "disk_plane_closed_form",
     "disk_herglotz_closed_form",
+    "radial_wronskian",
     "nonscattering_wavenumbers",
     "bessel_contour_identity",
 ]
@@ -257,15 +258,16 @@ def disk_plane_closed_form(lam: float, alpha: float, k: float, q: float) -> comp
 def disk_herglotz_closed_form(lam: float, n: int, k: float, q: float) -> complex:
     """Exact unit-disk integral for a single circular-harmonic incident wave."""
     lt = lambda_tilde(SpectralParams(k=k, q=q, lam=lam))
-    rq = math.sqrt(q)
-    wron = bessel_jp(n, k) * bessel_j(n, k * rq) - rq * bessel_j(n, k) * bessel_jp(n, k * rq)
-    return 4.0 * math.pi**2 * wron * k * (-1j * lt / (k * rq)) ** n
+    return 4.0 * math.pi**2 * radial_wronskian(n, q, k) * k * (-1j * lt / (k * math.sqrt(q))) ** n
 
 
-def _wronskian(n: int, q: float, k):
+def radial_wronskian(n: int, q: float, k):
+    """J_n'(k) J_n(k sqrt q) - sqrt q J_n(k) J_n'(k sqrt q), for scalar or array k.
+
+    Its zeros in k are the disk's nonscattering wavenumbers for harmonic order n.
+    """
     rq = math.sqrt(q)
-    val = bessel_jp(n, k) * bessel_j(n, k * rq) - rq * bessel_j(n, k) * bessel_jp(n, k * rq)
-    return val.real
+    return bessel_jp(n, k) * bessel_j(n, k * rq) - rq * bessel_j(n, k) * bessel_jp(n, k * rq)
 
 
 def nonscattering_wavenumbers(n: int, q: float, k_max: float) -> list[float]:
@@ -280,7 +282,7 @@ def nonscattering_wavenumbers(n: int, q: float, k_max: float) -> list[float]:
     ks = [step]
     while ks[-1] < k_max:
         ks.append(min(ks[-1] + step, k_max))
-    fs = _wronskian(n, q, np.array(ks)).tolist()
+    fs = radial_wronskian(n, q, np.array(ks)).real.tolist()
     roots: list[float] = []
     for k_prev, k_cur, f_prev, f_cur in zip(ks, ks[1:], fs, fs[1:]):
         if f_prev == 0.0:
@@ -289,7 +291,7 @@ def nonscattering_wavenumbers(n: int, q: float, k_max: float) -> list[float]:
             lo, hi, flo = k_prev, k_cur, f_prev
             while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
-                fm = _wronskian(n, q, mid)
+                fm = radial_wronskian(n, q, mid).real
                 if fm == 0.0:
                     lo = hi = mid
                     break

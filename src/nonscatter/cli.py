@@ -9,9 +9,7 @@ same scenario file, same bytes.  Exit codes: 0 verdict reached, 2 bad config,
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -23,11 +21,12 @@ from .asymptotics import (
     disk_herglotz_closed_form,
     disk_plane_closed_form,
     nonscattering_wavenumbers,
+    radial_wronskian,
     report_to_dict,
     tol_scale,
 )
 from .curves import CornerDomain, TrigCurve, builtin
-from .czmath import bessel_j, bessel_jp
+from .czmath import bessel_j, bessel_jp  # noqa: F401  (perfbench/tracing.py wraps them here)
 from .errors import (
     ConfigError,
     EndpointAboveLevel,
@@ -420,16 +419,12 @@ def cmd_disk(s: Scenario, out: str | None) -> int:
         _, n, k_max = s.disk
         lines = ["k,abs_C"]
         for kj in nonscattering_wavenumbers(n, s.q, k_max):
-            rq = math.sqrt(s.q)
-            cval = bessel_jp(n, kj) * bessel_j(n, kj * rq) - rq * bessel_j(n, kj) * bessel_jp(n, kj * rq)
-            lines.append(f"{kj!r},{abs(cval)!r}")
+            lines.append(f"{kj!r},{abs(radial_wronskian(n, s.q, kj))!r}")
         _emit(out, "disk.csv", "\n".join(lines) + "\n")
         return EXIT_OK
     if tag == "wronskian":
         n = s.disk[1]
-        rq = math.sqrt(s.q)
-        cval = bessel_jp(n, s.k) * bessel_j(n, s.k * rq) - rq * bessel_j(n, s.k) * bessel_jp(n, s.k * rq)
-        cval = complex(cval)
+        cval = complex(radial_wronskian(n, s.q, s.k))
         _emit(out, "disk.csv", "n,k,re_C,im_C\n" + f"{n},{s.k!r},{cval.real!r},{cval.imag!r}\n")
         return EXIT_OK
     if not s.lambda_grid:

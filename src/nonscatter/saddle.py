@@ -9,6 +9,7 @@ departure slope omega used by the square-root branch rule.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,13 +56,20 @@ class SaddlePoint:
 
 @dataclass
 class LevelSetGrid:
-    """Sampled field Re g - Re g(t0) on the level_region rect with zero-level polylines."""
+    """Sampled field Re g - Re g(t0) on the level_region rect.
+
+    The zero-level polylines are marched on first read of polylines and kept;
+    build_contour works from the values alone.
+    """
 
     r: np.ndarray
     s: np.ndarray
     values: np.ndarray
-    polylines: list
     t0: complex
+
+    @functools.cached_property
+    def polylines(self) -> list:
+        return _march(self.values, self.r, self.s)
 
     def value_at(self, t) -> float:
         t = complex(t)
@@ -369,7 +377,7 @@ def _march(values: np.ndarray, r: np.ndarray, s: np.ndarray) -> list:
 
 
 def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = 481, ns: int = 361) -> LevelSetGrid:
-    """Signed field Re g - Re g(t0) on the strip plus marching-squares zero level."""
+    """Signed field Re g - Re g(t0) on the strip; its zero level is marched on demand."""
     if not sp.simple:
         raise ValueError("level_region needs a simple saddle")
     if rect is None:
@@ -388,9 +396,7 @@ def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = 481, ns
     even = np.asarray(curve.a1)[:, None] * cos_mr + np.asarray(curve.b1)[:, None] * sin_mr
     odd = np.asarray(curve.a2)[:, None] * sin_mr - np.asarray(curve.b2)[:, None] * cos_mr
     re_g = np.cosh(ms) @ even + np.sinh(ms) @ odd
-    values = re_g - sp.g0.real
-    polylines = _march(values, r, s)
-    return LevelSetGrid(r=r, s=s, values=values, polylines=polylines, t0=sp.t0)
+    return LevelSetGrid(r=r, s=s, values=re_g - sp.g0.real, t0=sp.t0)
 
 
 def _re_g_many(curve: TrigCurve, ts) -> np.ndarray:
@@ -463,6 +469,33 @@ def _bfs_path(parent: np.ndarray, target) -> list | None:
     return [divmod(k, nr) for k in reversed(out)]
 
 
+def _cell_paths(mask: np.ndarray):
+    """cell_path(a, b): the _bfs path of cells from a to b, None when b is not in a's component.
+
+    Each search stops at its target.  A search from a True cell that runs out
+    of cells has marked its source's whole component; it is kept, so a later
+    query from a True cell with exactly one end in that component is answered
+    None without a search, and one from that source reads its path from the
+    kept field.
+    """
+    exhausted: dict = {}  # source -> parent field of its whole component
+
+    def cell_path(a, b):
+        if not mask[a]:  # a search from outside the mask spans several components
+            return _bfs_path(_bfs(mask, a, b), b)
+        for field in exhausted.values():
+            if (field[a] >= 0) != (field[b] >= 0):
+                return None
+        field = exhausted.get(a)
+        if field is None:
+            field = _bfs(mask, a, b)
+            if field[b] < 0:
+                exhausted[a] = field
+        return _bfs_path(field, b)
+
+    return cell_path
+
+
 def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: float | None = None, rho: float = 0.1) -> ContourPath:
     """Admissible polyline -pi -> pi through sp.t0 inside the sampled descent region.
 
@@ -471,12 +504,12 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     directions land in disconnected descent components (inward-cusp geometry),
     both probe legs tilt into the single usable sector and the path V-turns.
 
-    Connectivity comes from two breadth-first reach fields over the descent
-    cells, one from the cell next to -pi and one from the cell next to pi: a
-    probe pair is usable when its entry cell is reached from the -pi side and
-    its exit cell from the pi side.  The cell path into the saddle is read back
-    from the -pi field; the path out comes from a search started at the exit
-    cell.
+    Connectivity comes from breadth-first searches over the descent cells: a
+    probe pair is usable when a search from the cell next to -pi reaches its
+    entry cell and a search from its exit cell reaches the cell next to pi.
+    Each search stops at its target, and one that runs out of cells is kept
+    to answer later pairs without a search (_cell_paths).  The two cell paths
+    are then smoothed into chords along which Re g stays below the margin.
     """
     if not sp.simple:
         raise ValueError("build_contour needs a simple saddle")
@@ -548,8 +581,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     if start is None or goal is None:
         raise NoAdmissiblePath("no descent cell adjacent to an interval endpoint")
 
-    from_start = _bfs(mask, start)
-    from_goal = _bfs(mask, goal)
+    cell_path = _cell_paths(mask)
 
     def probe(phi: float):
         length = rho + 1.5 * h
@@ -575,21 +607,20 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
             entry_phi = min(cand, key=lambda p: math.cos(p))
             attempts.append((exit_phi, entry_phi))
 
-    chosen = None
     for exit_phi, entry_phi in attempts:
         pe = probe(exit_phi)
         pn = probe(entry_phi)
         if pe is None or pn is None:
             continue
-        if from_goal[pe[1]] >= 0 and from_start[pn[1]] >= 0:
-            chosen = (exit_phi, entry_phi, pe, pn)
+        cells_in = cell_path(start, pn[1])
+        if cells_in is None:
+            continue
+        cells_out = cell_path(pe[1], goal)
+        if cells_out is not None:
             break
-    if chosen is None:
+    else:
         raise NoAdmissiblePath("no steepest-descent probe pair connects the endpoints")
-    exit_phi, entry_phi, (p_exit, n_exit), (p_entry, n_entry) = chosen
-
-    cells_in = _bfs_path(from_start, n_entry)
-    cells_out = _bfs_path(_bfs(mask, n_exit, goal), goal)
+    p_exit, p_entry = pe[0], pn[0]
 
     def centers(cells):
         return [complex(r[j], s[i]) for i, j in cells]
@@ -599,8 +630,11 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
         seg = a + (b - a) * np.linspace(0.0, 1.0, n)
         if (np.abs(seg - t0) < 0.98 * rho).any():
             return False
-        exc = _re_g_many(curve, seg) - re_g0
-        return bool((exc <= -0.999 * delta).all())
+        # most chords fail somewhere along their length: every 8th point first
+        for pts in (seg[::8], seg):
+            if not (_re_g_many(curve, pts) - re_g0 <= -0.999 * delta).all():
+                return False
+        return True
 
     def smooth(pts):
         out = [pts[0]]

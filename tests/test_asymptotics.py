@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 
 from nonscatter.asymptotics import (
     asym_report,
@@ -16,6 +17,7 @@ from nonscatter.asymptotics import (
     f_jet,
     mu_n,
     nonscattering_wavenumbers,
+    radial_wronskian,
     report_to_dict,
     tol_scale,
 )
@@ -221,6 +223,17 @@ def test_disk_herglotz_closed_form_structure():
     wron = bessel_jp(n, k) * bessel_j(n, k * sq) - sq * bessel_j(n, k) * bessel_jp(n, k * sq)
     want = 4 * PI**2 * k * wron * (-1j * lt / (k * sq)) ** n
     assert disk_herglotz_closed_form(lam, n, k, q) == pytest.approx(want, rel=1e-12)
+
+
+def test_radial_wronskian_matches_scipy():
+    ks = np.linspace(0.05, 30.0, 61)
+    for n in range(4):
+        for q in (0.5, 2.0, 4.0):
+            sq = math.sqrt(q)
+            want = sps.jvp(n, ks) * sps.jv(n, ks * sq) - sq * sps.jv(n, ks) * sps.jvp(n, ks * sq)
+            got = radial_wronskian(n, q, ks)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            assert abs(radial_wronskian(n, q, float(ks[7])) - want[7]) <= 1e-12 * max(1.0, abs(want[7]))
 
 
 def test_nonscattering_wavenumbers_frozen():

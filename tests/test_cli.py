@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nonscatter
+from nonscatter import saddle
 from nonscatter.cli import main, parse_scenario, serialize_scenario
 from nonscatter.errors import ConfigError
 
@@ -125,6 +130,62 @@ def test_levelset_artifacts(tmp_path):
     assert "np.float64" not in grid
     svg = (out / "level.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg and 'stroke="blue"' in svg
+
+
+def test_analyze_skips_level_lines_and_spare_searches(tmp_path, monkeypatch):
+    # analyze reads only the grid values: no zero-level march, and at most two
+    # breadth-first searches (into the saddle and out of it) per contour
+    bfs, march = saddle._bfs, saddle._march
+    searches, marches = [], []
+
+    def counting_bfs(*args):
+        searches.append(args[1:])
+        return bfs(*args)
+
+    def no_march(*args):
+        marches.append(args)
+        raise AssertionError("analyze marched the zero level")
+
+    monkeypatch.setattr(saddle, "_bfs", counting_bfs)
+    monkeypatch.setattr(saddle, "_march", no_march)
+    for i, domain in enumerate((ELLIPSE, {"builtin": "cardioid"})):
+        searches.clear()
+        cfg = {"version": 1, "k": 1.0, "q": 2.0, "domain": domain, "wave": PLANE0}
+        rc, out = run(tmp_path, "analyze", cfg, out=f"a{i}")
+        assert rc == 0 and (out / "report.json").exists()
+        assert 1 <= len(searches) <= 2, domain
+    assert marches == []
+
+    # levelset still draws the zero level, marched once
+    lines = []
+    monkeypatch.setattr(saddle, "_march", lambda *args: lines.append(march(*args)) or lines[-1])
+    cfg = {"version": 1, "k": 1.0, "q": 2.0, "contour": True, "domain": {"builtin": "cardioid"}}
+    rc, out = run(tmp_path, "levelset", cfg, out="lv")
+    assert rc == 0 and len(lines) == 1 and lines[0]
+    svg = (out / "level.svg").read_text()
+    assert svg.count('stroke="black"') == len(lines[0])
+    assert svg.count('stroke="blue"') == 1
+
+
+def test_analyze_runs_on_numpy_alone(tmp_path):
+    # the runtime promises numpy only: scipy and mpmath are test oracles
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": PLANE0}))
+    code = (
+        "import sys\n"
+        "from nonscatter.cli import main\n"
+        "rc = main(['analyze', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(nonscatter.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_sweep_artifacts(tmp_path):

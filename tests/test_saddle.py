@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from collections import deque
 
@@ -18,6 +19,7 @@ from nonscatter.saddle import (
     ContourPath,
     _bfs,
     _bfs_path,
+    _cell_paths,
     SaddlePoint,
     branch_angle,
     branch_sqrt_neg_g2,
@@ -30,6 +32,70 @@ from nonscatter.saddle import (
 )
 
 PI = math.pi
+
+# float.hex of (waypoints, omega, margin) of each builtin's contour, and the
+# sha256 of its grid_to_svg(grid, path) and grid_to_csv(grid) text, as built
+# before build_contour searched on demand; any change to how the contour is
+# found must leave every bit in place
+_PINNED_CONTOURS = {
+    "ellipse": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.ea0657740d5ddp-4", "0x1.193ea7aad030ap-1"),
+            ("-0x1.61b1acd85d7d8p-55", "0x1.193ea7aad030ap-1"),
+            ("0x1.ea0657740d5d7p-4", "0x1.193ea7aad030ap-1"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.0463725c86b53p-7",
+    ),
+    "cardioid": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.acee9f37bebd8p-1", "0x1.6b851eb851eb9p-2"),
+            ("-0x1.3aff3cecf0130p-1", "0x1.63d70a3d70a3fp-2"),
+            ("-0x1.5c81e15d4afa0p-2", "0x1.0f5c28f5c28f6p-2"),
+            ("-0x1.770c7921e4880p-5", "0x1.c4b94eb4c9e80p-4"),
+            ("-0x0.0p+0", "0x0.0p+0"),
+            ("0x1.770c7921e4882p-5", "0x1.c4b94eb4c9e80p-4"),
+            ("0x1.12c8ddffb6314p-1", "0x1.6b851eb851eb9p-2"),
+            ("0x1.c109ceae5bae0p-1", "0x1.6b851eb851eb9p-2"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x1.2d97c7f3321d2p+0",
+        "0x1.43655b63068b2p-9",
+    ),
+    "nonconvex": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.ea0657740d5d0p-4", "0x1.89343903cabe9p-1"),
+            ("0x1.356725b671dffp-53", "0x1.89343903cabe9p-1"),
+            ("0x1.ea0657740d5e4p-4", "0x1.89343903cabe9p-1"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.1057a30d2b1e5p-7",
+    ),
+    "deltoid": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("0x1.bedee21a6c571p-55", "0x0.0p+0"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.f6fffcbbd25e9p-6",
+    ),
+}
+_PINNED_SHA256 = {
+    "ellipse": (
+        "cd4ca4d09c6b589b906df77be30f95df80e12bd020c623861591d4f63bff3a0b",
+        "9204ac62d1cae882d7eea8a9269f9baca3d3e4ac63b893c9c595528980fae02a",
+    ),
+    "cardioid": (
+        "c8a13c18e4844741f2ebbadee23377d679be2bc091e1f5a44ac648dd011f2004",
+        "2af2fc48971aca63e87fc3a731aa57895ed4d1bf7e552f3e85c92c459aebefa6",
+    ),
+}
 
 
 def test_find_saddles_closed_forms(curves, saddles):
@@ -282,6 +348,16 @@ def test_contour_shapes_and_validation(curves, saddles, grids, paths):
     assert abs(card.arrival_angle() + 3 * PI / 8) < 1e-9
 
 
+def test_contours_and_level_bytes_are_pinned(grids, paths):
+    for key, (waypoints, omega, margin) in _PINNED_CONTOURS.items():
+        path = paths[key]
+        assert tuple((w.real.hex(), w.imag.hex()) for w in path.waypoints) == waypoints, key
+        assert (path.omega.hex(), path.margin.hex()) == (omega, margin), key
+    for key, (svg, csv) in _PINNED_SHA256.items():
+        assert hashlib.sha256(grid_to_svg(grids[key], paths[key]).encode()).hexdigest() == svg, key
+        assert hashlib.sha256(grid_to_csv(grids[key]).encode()).hexdigest() == csv, key
+
+
 def test_contour_waypoint_validation():
     with pytest.raises(ValueError):
         ContourPath(waypoints=(-PI + 0j, 1j), omega=0.0, margin=0.1, i_saddle=1)
@@ -458,3 +534,28 @@ def test_bfs_matches_deque_bfs(case):
     for (i, j), p in _deque_bfs(mask, a).items():
         field[i, j] = i * nr + j if p is None else p[0] * nr + p[1]
     assert (_bfs(mask, a) == field).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mask_and_ends())
+def test_bfs_stopped_at_any_reached_cell_is_a_prefix(case):
+    # build_contour reads paths from searches stopped at their targets and from
+    # exhausted ones alike, so the two must agree on every reached cell
+    mask, a, _ = case
+    full = _bfs(mask, a)
+    for i, j in zip(*np.nonzero(full >= 0)):
+        c = (int(i), int(j))
+        assert _bfs_path(_bfs(mask, a, c), c) == _bfs_path(full, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mask_and_ends(), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=8))
+def test_cell_paths_match_deque_bfs(case, picks):
+    # one cache answers a run of queries; each must match a fresh queue search
+    mask, a, b = case
+    ns, nr = mask.shape
+    cells = [a, b] + [(p // nr % ns, p % nr) for p, _ in picks]
+    queries = [(a, b)] + [(cells[p % len(cells)], cells[q % len(cells)]) for p, q in picks]
+    cell_path = _cell_paths(mask)
+    for u, v in queries:
+        assert cell_path(u, v) == _deque_path(mask, u, v)
