@@ -158,7 +158,12 @@ def test_analyze_skips_level_lines_and_spare_searches(tmp_path, monkeypatch):
 
     # levelset still draws the zero level, marched once
     lines = []
-    monkeypatch.setattr(saddle, "_march", lambda *args: lines.append(march(*args)) or lines[-1])
+
+    def counting_march(*args):
+        lines.append(march(*args))
+        return lines[-1]
+
+    monkeypatch.setattr(saddle, "_march", counting_march)
     cfg = {"version": 1, "k": 1.0, "q": 2.0, "contour": True, "domain": {"builtin": "cardioid"}}
     rc, out = run(tmp_path, "levelset", cfg, out="lv")
     assert rc == 0 and len(lines) == 1 and lines[0]
