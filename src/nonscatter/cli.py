@@ -9,6 +9,7 @@ same scenario file, same bytes.  Exit codes: 0 verdict reached, 2 bad config,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -501,7 +502,8 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nonscatter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -510,7 +512,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--nodes", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         try:

@@ -469,31 +469,47 @@ def _bfs_path(parent: np.ndarray, target) -> list | None:
     return [divmod(k, nr) for k in reversed(out)]
 
 
-def _cell_paths(mask: np.ndarray):
-    """cell_path(a, b): the _bfs path of cells from a to b, None when b is not in a's component.
+def _components(mask: np.ndarray):
+    """connected(a, b): whether True cells a and b of mask lie in one 4-connected component.
 
-    Each search stops at its target.  A search from a True cell that runs out
-    of cells has marked its source's whole component; it is kept, so a later
-    query from a True cell with exactly one end in that component is answered
-    None without a search, and one from that source reads its path from the
-    kept field.
+    Each row of mask splits into runs of True cells, and a union-find joins
+    the runs of adjacent rows that share a column.  _bfs from a True cell a
+    reaches b exactly when connected(a, b).
     """
-    exhausted: dict = {}  # source -> parent field of its whole component
+    ns, nr = mask.shape
+    w = nr + 1
+    pad = np.zeros((ns, nr + 2), dtype=bool)
+    pad[:, 1:-1] = mask
+    # key i * w + j of each run's first column and of the column past its last,
+    # in row order: runs are k = 0, 1, ... in order of key_lo, and key_hi too
+    flips = np.flatnonzero(pad[:, 1:] != pad[:, :-1])
+    key_lo, key_hi = flips[::2], flips[1::2]
+    # run k shares a column with runs first[k] .. last[k] - 1 of the next row
+    first = np.searchsorted(key_hi, key_lo + w, side="right")
+    last = np.searchsorted(key_lo, key_hi + w, side="left")
+    n_up = np.maximum(last - first, 0)
+    below = np.repeat(np.arange(len(key_lo)), n_up)
+    above = first[below] + np.arange(below.size) - np.repeat(np.cumsum(n_up) - n_up, n_up)
 
-    def cell_path(a, b):
-        if not mask[a]:  # a search from outside the mask spans several components
-            return _bfs_path(_bfs(mask, a, b), b)
-        for field in exhausted.values():
-            if (field[a] >= 0) != (field[b] >= 0):
-                return None
-        field = exhausted.get(a)
-        if field is None:
-            field = _bfs(mask, a, b)
-            if field[b] < 0:
-                exhausted[a] = field
-        return _bfs_path(field, b)
+    root = list(range(len(key_lo)))
 
-    return cell_path
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v in zip(below.tolist(), above.tolist()):
+        root[find(u)] = find(v)
+    label = [find(x) for x in range(len(key_lo))]
+
+    def connected(a, b) -> bool:
+        if not (mask[a] and mask[b]):
+            raise ValueError("connected() takes True cells of the mask")
+        ka, kb = np.searchsorted(key_lo, [a[0] * w + a[1], b[0] * w + b[1]], side="right") - 1
+        return label[ka] == label[kb]
+
+    return connected
 
 
 def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: float | None = None, rho: float = 0.1) -> ContourPath:
@@ -504,12 +520,12 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     directions land in disconnected descent components (inward-cusp geometry),
     both probe legs tilt into the single usable sector and the path V-turns.
 
-    Connectivity comes from breadth-first searches over the descent cells: a
-    probe pair is usable when a search from the cell next to -pi reaches its
-    entry cell and a search from its exit cell reaches the cell next to pi.
-    Each search stops at its target, and one that runs out of cells is kept
-    to answer later pairs without a search (_cell_paths).  The two cell paths
-    are then smoothed into chords along which Re g stays below the margin.
+    A probe pair is usable when the cell next to -pi and its entry cell, and
+    its exit cell and the cell next to pi, lie in one component of the
+    descent cells (_components).  Each leg is then the straight chord between
+    its ends when Re g stays below the margin along it; otherwise the
+    breadth-first cell path between them, stopped at its target, is smoothed
+    into the longest such chords.
     """
     if not sp.simple:
         raise ValueError("build_contour needs a simple saddle")
@@ -581,7 +597,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     if start is None or goal is None:
         raise NoAdmissiblePath("no descent cell adjacent to an interval endpoint")
 
-    cell_path = _cell_paths(mask)
+    connected = _components(mask)
 
     def probe(phi: float):
         length = rho + 1.5 * h
@@ -610,45 +626,59 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     for exit_phi, entry_phi in attempts:
         pe = probe(exit_phi)
         pn = probe(entry_phi)
-        if pe is None or pn is None:
-            continue
-        cells_in = cell_path(start, pn[1])
-        if cells_in is None:
-            continue
-        cells_out = cell_path(pe[1], goal)
-        if cells_out is not None:
+        if pe is not None and pn is not None and connected(start, pn[1]) and connected(pe[1], goal):
             break
     else:
         raise NoAdmissiblePath("no steepest-descent probe pair connects the endpoints")
     p_exit, p_entry = pe[0], pn[0]
 
-    def centers(cells):
-        return [complex(r[j], s[i]) for i, j in cells]
+    def first_clear(a: complex, ends) -> int | None:
+        """Index of the first b in ends whose chord from a is clear, or None.
 
-    def los(a: complex, b: complex) -> bool:
-        n = int(abs(b - a) / h) * 2 + 3
-        seg = a + (b - a) * np.linspace(0.0, 1.0, n)
-        if (np.abs(seg - t0) < 0.98 * rho).any():
-            return False
-        # most chords fail somewhere along their length: every 8th point first
-        for pts in (seg[::8], seg):
-            if not (_re_g_many(curve, pts) - re_g0 <= -0.999 * delta).all():
-                return False
-        return True
+        A chord is clear when its samples keep out of the 0.98 rho disc and
+        have Re g - Re g(t0) <= -0.999 delta.  Most chords fail somewhere along
+        their length, so every 8th sample of all of them goes first, in one
+        batch; then the survivors are checked in full, in order.
+        """
+        segs = [a + (b - a) * np.linspace(0.0, 1.0, int(abs(b - a) / h) * 2 + 3) for b in ends]
+        keep = [k for k, seg in enumerate(segs) if not (np.abs(seg - t0) < 0.98 * rho).any()]
+        if not keep:
+            return None
+        sparse = [segs[k][::8] for k in keep]
+        ok = _re_g_many(curve, np.concatenate(sparse)) - re_g0 <= -0.999 * delta
+        for k, part in zip(keep, np.split(ok, np.cumsum([len(x) for x in sparse])[:-1])):
+            if part.all() and (_re_g_many(curve, segs[k]) - re_g0 <= -0.999 * delta).all():
+                return k
+        return None
 
-    def smooth(pts):
-        out = [pts[0]]
-        i = 0
+    def leg(a: complex, b: complex, cell_a, cell_b) -> list:
+        """The chord a -> b when it is clear, else the smoothed _bfs cell path between."""
+        if first_clear(a, [b]) == 0:
+            return [a, b]
+        pts = [a] + [complex(r[j], s[i]) for i, j in _bfs_path(_bfs(mask, cell_a, cell_b), cell_b)] + [b]
+
+        def farthest(i: int, j: int) -> int:
+            # the largest index <= j whose chord from pts[i] is clear, tried in
+            # blocks of 1, 2, 4, ... candidates from j down; i + 1 when none is
+            size = 1
+            while j > i + 1:
+                stop = max(j - size, i + 1)
+                k = first_clear(pts[i], pts[j:stop:-1])
+                if k is not None:
+                    return j - k
+                j, size = stop, 2 * size
+            return i + 1
+
+        out = [a]
+        i = farthest(0, len(pts) - 2)  # the chord pts[0] -> pts[-1] is not clear
+        out.append(pts[i])
         while i < len(pts) - 1:
-            j = len(pts) - 1
-            while j > i + 1 and not los(pts[i], pts[j]):
-                j -= 1
-            out.append(pts[j])
-            i = j
+            i = farthest(i, len(pts) - 1)
+            out.append(pts[i])
         return out
 
-    leg_in = smooth([-math.pi + 0j] + centers(cells_in) + [p_entry])
-    leg_out = smooth([p_exit] + centers(cells_out) + [math.pi + 0j])
+    leg_in = leg(-math.pi + 0j, p_entry, start, pn[1])
+    leg_out = leg(p_exit, math.pi + 0j, pe[1], goal)
     waypoints = tuple(leg_in) + (t0,) + tuple(leg_out)
     return _finish(waypoints, float(math.remainder(exit_phi, 2.0 * math.pi)), len(leg_in))
 

@@ -19,7 +19,7 @@ from nonscatter.saddle import (
     ContourPath,
     _bfs,
     _bfs_path,
-    _cell_paths,
+    _components,
     SaddlePoint,
     branch_angle,
     branch_sqrt_neg_g2,
@@ -33,10 +33,11 @@ from nonscatter.saddle import (
 
 PI = math.pi
 
-# float.hex of (waypoints, omega, margin) of each builtin's contour, and the
-# sha256 of its grid_to_svg(grid, path) and grid_to_csv(grid) text, as built
-# before build_contour searched on demand; any change to how the contour is
-# found must leave every bit in place
+# float.hex of (waypoints, omega, margin) of the contour of each builtin and
+# of each seeded shape in conftest, and the sha256 of the grid_to_svg(grid,
+# path) and grid_to_csv(grid) text of two builtins, as built before
+# build_contour searched on demand (the seeded shapes: before it tried chords
+# first); any change to how the contour is found must leave every bit in place
 _PINNED_CONTOURS = {
     "ellipse": (
         (
@@ -84,6 +85,100 @@ _PINNED_CONTOURS = {
         ),
         "0x0.0p+0",
         "0x1.f6fffcbbd25e9p-6",
+    ),
+    "ellipse-0": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.ea0657740d5ddp-4", "0x1.37d92a7b3fdc3p-1"),
+            ("-0x1.61b1acd85d7d4p-55", "0x1.37d92a7b3fdc3p-1"),
+            ("0x1.ea0657740d5d7p-4", "0x1.37d92a7b3fdc3p-1"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.1b9cef9730692p-7",
+    ),
+    "ellipse-1": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.ea0657740d5ddp-4", "0x1.31599e0f11392p-1"),
+            ("-0x1.61b1acd85d7d0p-55", "0x1.31599e0f11392p-1"),
+            ("0x1.ea0657740d5d7p-4", "0x1.31599e0f11392p-1"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.2a284a309d76dp-7",
+    ),
+    "quartic-0": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.ea0657740d5d1p-4", "0x1.72ebdf55550d9p-1"),
+            ("0x1.22c62a35b2393p-53", "0x1.72ebdf55550d9p-1"),
+            ("0x1.ea0657740d5e3p-4", "0x1.72ebdf55550d9p-1"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.0c473bb202efcp-7",
+    ),
+    "quartic-1": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.ea0657740d5d1p-4", "0x1.7eb0c6a9aea90p-1"),
+            ("0x1.2ce921acda478p-53", "0x1.7eb0c6a9aea90p-1"),
+            ("0x1.ea0657740d5e3p-4", "0x1.7eb0c6a9aea90p-1"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.0e693e18c8c71p-7",
+    ),
+    "cardioid-0": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.acee9f37bebd8p-1", "0x1.6b851eb851eb9p-2"),
+            ("-0x1.3aff3cecf0130p-1", "0x1.63d70a3d70a3fp-2"),
+            ("-0x1.5c81e15d4afa0p-2", "0x1.0f5c28f5c28f6p-2"),
+            ("-0x1.770c7921e4880p-5", "0x1.c4b94eb4c9e80p-4"),
+            ("-0x1.0b1913b5c8da0p-106", "-0x1.88d5b3bd32b79p-161"),
+            ("0x1.770c7921e4882p-5", "0x1.c4b94eb4c9e80p-4"),
+            ("0x1.12c8ddffb6314p-1", "0x1.6b851eb851eb9p-2"),
+            ("0x1.c109ceae5bae0p-1", "0x1.6b851eb851eb9p-2"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x1.2d97c7f3321d2p+0",
+        "0x1.a6081c613a75ap-9",
+    ),
+    "cardioid-1": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.acee9f37bebd8p-1", "0x1.6b851eb851eb9p-2"),
+            ("-0x1.3aff3cecf0130p-1", "0x1.63d70a3d70a3fp-2"),
+            ("-0x1.5c81e15d4afa0p-2", "0x1.0f5c28f5c28f6p-2"),
+            ("-0x1.770c7921e4880p-5", "0x1.c4b94eb4c9e80p-4"),
+            ("-0x1.cda9cc8d2ea5cp-107", "-0x1.537efb78e5e1fp-161"),
+            ("0x1.770c7921e4882p-5", "0x1.c4b94eb4c9e80p-4"),
+            ("0x1.12c8ddffb6314p-1", "0x1.6b851eb851eb9p-2"),
+            ("0x1.c109ceae5bae0p-1", "0x1.6b851eb851eb9p-2"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x1.2d97c7f3321d2p+0",
+        "0x1.91a861a163c68p-9",
+    ),
+    "deltoid-0": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("0x1.bedee21a6c573p-55", "0x0.0p+0"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.588e123e1918bp-6",
+    ),
+    "deltoid-1": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("0x1.bedee21a6c573p-55", "0x0.0p+0"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x0.0p+0",
+        "0x1.0a56a634dc0e0p-5",
     ),
 }
 _PINNED_SHA256 = {
@@ -539,8 +634,8 @@ def test_bfs_matches_deque_bfs(case):
 @settings(max_examples=40, deadline=None)
 @given(_mask_and_ends())
 def test_bfs_stopped_at_any_reached_cell_is_a_prefix(case):
-    # build_contour reads paths from searches stopped at their targets and from
-    # exhausted ones alike, so the two must agree on every reached cell
+    # build_contour reads its cell paths from searches stopped at their
+    # targets, which must agree with the full search on every reached cell
     mask, a, _ = case
     full = _bfs(mask, a)
     for i, j in zip(*np.nonzero(full >= 0)):
@@ -550,12 +645,17 @@ def test_bfs_stopped_at_any_reached_cell_is_a_prefix(case):
 
 @settings(max_examples=100, deadline=None)
 @given(_mask_and_ends(), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), min_size=1, max_size=8))
-def test_cell_paths_match_deque_bfs(case, picks):
-    # one cache answers a run of queries; each must match a fresh queue search
+def test_components_match_deque_bfs(case, picks):
+    # one connected() answers a run of queries between True cells; each must
+    # say whether a fresh queue search from one reaches the other
     mask, a, b = case
-    ns, nr = mask.shape
-    cells = [a, b] + [(p // nr % ns, p % nr) for p, _ in picks]
-    queries = [(a, b)] + [(cells[p % len(cells)], cells[q % len(cells)]) for p, q in picks]
-    cell_path = _cell_paths(mask)
-    for u, v in queries:
-        assert cell_path(u, v) == _deque_path(mask, u, v)
+    cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
+    connected = _components(mask)
+    for c in (a, b):
+        if not mask[c]:
+            with pytest.raises(ValueError):
+                connected(c, c)
+    assume(cells)
+    pool = [c for c in (a, b) if mask[c]] + [cells[x % len(cells)] for pair in picks for x in pair]
+    for u, v in zip(pool, pool[1:] + pool[:1]):
+        assert connected(u, v) == (_deque_path(mask, u, v) is not None)
