@@ -1,9 +1,12 @@
 """Config-driven command line: analyze | sweep | levelset | disk | corner | oracle.
 
 Scenarios are JSON with a version field; angles are radians, complex numbers
-are [re, im] pairs.  Output artifacts (CSV, JSON, SVG) are deterministic:
-same scenario file, same bytes.  Exit codes: 0 verdict reached, 2 bad config,
-3 inconclusive, 4 no admissible contour or saddle, 5 numerical failure.
+are [re, im] pairs, and every number must be finite.  Each block decodes to
+the object it names (curve or wedge, wave, disk mode), and a malformed block
+is a config error that names it.  Output artifacts (CSV, JSON, SVG) are
+deterministic: same scenario file, same bytes.  Exit codes: 0 verdict
+reached, 2 bad config, 3 inconclusive, 4 no admissible contour or saddle,
+5 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .asymptotics import (
     _pair,
@@ -46,7 +50,7 @@ from .quad import (
     sweep_to_csv,
 )
 from .saddle import build_contour, find_saddles, grid_to_csv, grid_to_svg, level_region, validate_contour
-from .waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, value as wave_value
+from .waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, WaveModel, value as wave_value
 
 __all__ = ["Scenario", "parse_scenario", "serialize_scenario", "main"]
 
@@ -57,13 +61,27 @@ EXIT_NO_PATH = 4
 EXIT_NUMERICAL = 5
 
 _DEFAULT_LEVELSET = (None, 481, 361)
+# what a malformed block raises while it is decoded; the guard in _block
+# turns each into a ConfigError that names the block
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, InvalidShapeParams)
+
+
+@dataclass(frozen=True)
+class DiskMode:
+    """The disk block: Wronskian roots up to k_max, the Wronskian at k, or a
+    closed-form comparison (plane wave at alpha, or harmonic n)."""
+
+    mode: str  # "roots" | "wronskian" | "compare"
+    n: int | None = None
+    k_max: float | None = None
+    alpha: float | None = None
 
 
 @dataclass(frozen=True)
 class Scenario:
     version: int
-    domain: tuple | None
-    wave: tuple | None
+    domain: TrigCurve | CornerDomain | None
+    wave: WaveModel | None
     k: float
     q: float
     lambda_grid: tuple
@@ -71,97 +89,127 @@ class Scenario:
     g0: object  # "zero" | "saddle" | complex
     quad: QuadOptions
     contour: bool
-    levelset: tuple
-    disk: tuple | None
+    levelset: tuple  # (rect or None, nr, ns)
+    disk: DiskMode | None
     out: str | None
 
 
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    return cfg[key]
+def _real(x) -> float:
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"{v} is not a finite number")
+    return v
 
 
-def _floats(xs, what: str) -> tuple:
-    try:
-        return tuple(float(x) for x in xs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad {what}: {e}")
+def _reals(xs) -> tuple:
+    return tuple(_real(x) for x in xs)
 
 
-def _parse_domain(d) -> tuple | None:
-    if d is None:
-        return None
-    if not isinstance(d, dict):
-        raise ConfigError("domain must be an object")
+def _complex(pair) -> complex:
+    re, im = pair
+    return complex(_real(re), _real(im))
+
+
+def _optional(decode):
+    return lambda v: None if v is None else decode(v)
+
+
+def _decode_domain(d) -> TrigCurve | CornerDomain:
     if "builtin" in d:
-        return ("builtin", str(d["builtin"]), _floats(d.get("params", ()), "domain params"))
+        return builtin(str(d["builtin"]), *_reals(d.get("params", ())))
     if "corner" in d:
         c = d["corner"]
-        try:
-            return ("corner", float(c["theta"]), float(c["a1"]), float(c["a2"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad corner domain: {e}")
+        return CornerDomain(theta=_real(c["theta"]), a1=_real(c["a1"]), a2=_real(c["a2"]))
     if "a1" in d:
-        try:
-            return (
-                "fourier",
-                _floats(d["a1"], "a1"),
-                _floats(d.get("b1", ()), "b1"),
-                _floats(d["a2"], "a2"),
-                _floats(d.get("b2", ()), "b2"),
-            )
-        except KeyError as e:
-            raise ConfigError(f"fourier domain missing {e}")
-    raise ConfigError("domain must give builtin, corner, or Fourier coefficients")
+        return TrigCurve(
+            a1=_reals(d["a1"]), b1=_reals(d.get("b1", ())), a2=_reals(d["a2"]), b2=_reals(d.get("b2", ()))
+        )
+    raise ValueError("domain must give builtin, corner, or Fourier coefficients")
 
 
-def _parse_wave(w) -> tuple | None:
-    if w is None:
-        return None
-    if not isinstance(w, dict) or "kind" not in w:
-        raise ConfigError("wave must be an object with a kind")
+def _encode_domain(dom: TrigCurve | CornerDomain) -> dict:
+    if isinstance(dom, CornerDomain):
+        return {"corner": {"theta": dom.theta, "a1": dom.a1, "a2": dom.a2}}
+    return {"a1": list(dom.a1), "b1": list(dom.b1), "a2": list(dom.a2), "b2": list(dom.b2)}
+
+
+def _decode_wave(w, k: float) -> WaveModel:
     kind = w["kind"]
     if kind == "plane":
-        return ("plane", float(w.get("alpha", 0.0)))
+        return PlaneWave(k=k, alpha=_real(w.get("alpha", 0.0)))
     if kind == "plane_combo":
-        terms = []
-        for item in _need(w, "terms"):
-            (re, im), alpha = item
-            terms.append((float(re), float(im), float(alpha)))
+        terms = tuple((_complex(c), _real(alpha)) for c, alpha in w["terms"])
         if not terms:
-            raise ConfigError("plane_combo needs at least one term")
-        return ("plane_combo", tuple(terms))
+            raise ValueError("plane_combo needs at least one term")
+        return PlaneCombo(k=k, terms=terms)
     if kind == "harmonic":
-        return ("harmonic", int(_need(w, "n")))
+        return CircularHarmonic(k=k, n=int(w["n"]))
     if kind == "herglotz":
-        psi = _need(w, "psi")
-        terms = []
-        for key, val in psi.items():
-            re, im = val
-            terms.append((int(key), float(re), float(im)))
-        terms.sort()
-        if not terms:
-            raise ConfigError("herglotz needs a nonempty psi table")
-        return ("herglotz", tuple(terms))
-    raise ConfigError(f"unknown wave kind {kind!r}")
+        psi = tuple((int(n), _complex(c)) for n, c in w["psi"].items())
+        if not psi:
+            raise ValueError("herglotz needs a nonempty psi table")
+        return HerglotzTrunc(k=k, psi=psi)
+    raise ValueError(f"unknown wave kind {kind!r}")
 
 
-def _parse_disk(d) -> tuple | None:
-    if d is None:
-        return None
-    if not isinstance(d, dict) or "mode" not in d:
-        raise ConfigError("disk block needs a mode")
+def _encode_wave(w: WaveModel) -> dict:
+    if isinstance(w, PlaneWave):
+        return {"kind": "plane", "alpha": w.alpha}
+    if isinstance(w, PlaneCombo):
+        return {"kind": "plane_combo", "terms": [[_pair(c), alpha] for c, alpha in w.terms]}
+    if isinstance(w, CircularHarmonic):
+        return {"kind": "harmonic", "n": w.n}
+    return {"kind": "herglotz", "psi": {str(n): _pair(c) for n, c in w.psi}}
+
+
+def _decode_disk(d) -> DiskMode:
     mode = d["mode"]
     if mode == "roots":
-        return ("roots", int(_need(d, "n")), float(_need(d, "k_max")))
-    if mode == "compare":
-        if "alpha" in d:
-            return ("compare_plane", float(d["alpha"]))
-        return ("compare_harmonic", int(_need(d, "n")))
-    if mode == "wronskian":
-        return ("wronskian", int(_need(d, "n")))
-    raise ConfigError(f"unknown disk mode {mode!r}")
+        return DiskMode(mode, n=int(d["n"]), k_max=_real(d["k_max"]))
+    if mode == "compare" and "alpha" in d:
+        return DiskMode(mode, alpha=_real(d["alpha"]))
+    if mode in ("compare", "wronskian"):
+        return DiskMode(mode, n=int(d["n"]))
+    raise ValueError(f"unknown disk mode {mode!r}")
+
+
+def _encode_disk(m: DiskMode) -> dict:
+    return {key: v for key, v in asdict(m).items() if v is not None}
+
+
+def _decode_g0(v):
+    if v is None:
+        return "zero"
+    return "saddle" if v == "saddle" else _complex(v)
+
+
+def _decode_quad(qd) -> QuadOptions:
+    return QuadOptions(
+        mode=qd.get("mode", "periodic_trapezoid"), nodes=int(qd.get("nodes", 32)), tol=float(qd.get("tol", 1e-10))
+    )
+
+
+def _decode_levelset(ls) -> tuple:
+    rect = ls.get("rect")
+    if rect is not None:
+        (r_lo, r_hi), (s_lo, s_hi) = rect
+        rect = ((_real(r_lo), _real(r_hi)), (_real(s_lo), _real(s_hi)))
+    return (rect, int(ls.get("nr", 481)), int(ls.get("ns", 361)))
+
+
+_REQUIRED = object()
+
+
+def _block(cfg: dict, key: str, decode, default=_REQUIRED):
+    """decode(cfg[key]), or default when key is absent; a malformed block is a ConfigError naming key."""
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
+    try:
+        return decode(cfg[key])
+    except _MALFORMED as e:
+        raise ConfigError(f"bad {key}: {type(e).__name__}: {e}") from e
 
 
 def parse_scenario(cfg: dict) -> Scenario:
@@ -169,128 +217,55 @@ def parse_scenario(cfg: dict) -> Scenario:
         raise ConfigError("scenario must be a JSON object")
     if cfg.get("version") != 1:
         raise ConfigError("config version must be 1")
-    try:
-        k = float(_need(cfg, "k"))
-        q = float(_need(cfg, "q"))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad k/q: {e}")
+    k = _block(cfg, "k", _real)
+    q = _block(cfg, "q", _real)
     if k <= 0:
         raise ConfigError("k must be positive")
     if q <= 0 or q == 1.0:
         raise ConfigError("q must be positive and different from 1")
-
-    grid = _floats(cfg.get("lambda_grid", ()), "lambda_grid")
-    p_power = cfg.get("p")
-    if p_power is not None:
-        p_power = float(p_power)
-    g0_raw = cfg.get("g0")
-    if g0_raw is None:
-        g0 = "zero"
-    elif g0_raw == "saddle":
-        g0 = "saddle"
-    else:
-        try:
-            g0 = complex(float(g0_raw[0]), float(g0_raw[1]))
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError('g0 must be "saddle" or [re, im]')
-    qd = cfg.get("quad", {})
-    if not isinstance(qd, dict):
-        raise ConfigError("quad must be an object")
-    try:
-        quad = QuadOptions(
-            mode=qd.get("mode", "periodic_trapezoid"),
-            nodes=int(qd.get("nodes", 32)),
-            tol=float(qd.get("tol", 1e-10)),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad quad options: {e}")
-    ls = cfg.get("levelset", {})
-    if not isinstance(ls, dict):
-        raise ConfigError("levelset must be an object")
-    rect = ls.get("rect")
-    if rect is not None:
-        try:
-            rect = ((float(rect[0][0]), float(rect[0][1])), (float(rect[1][0]), float(rect[1][1])))
-        except (TypeError, ValueError, IndexError):
-            raise ConfigError("levelset rect must be [[r_lo, r_hi], [s_lo, s_hi]]")
-    levelset = (rect, int(ls.get("nr", 481)), int(ls.get("ns", 361)))
-
-    out = cfg.get("out")
     return Scenario(
         version=1,
-        domain=_parse_domain(cfg.get("domain")),
-        wave=_parse_wave(cfg.get("wave")),
+        domain=_block(cfg, "domain", _optional(_decode_domain), None),
+        wave=_block(cfg, "wave", _optional(lambda w: _decode_wave(w, k)), None),
         k=k,
         q=q,
-        lambda_grid=grid,
-        p_power=p_power,
-        g0=g0,
-        quad=quad,
+        lambda_grid=_block(cfg, "lambda_grid", _reals, ()),
+        p_power=_block(cfg, "p", _optional(_real), None),
+        g0=_block(cfg, "g0", _decode_g0, "zero"),
+        quad=_block(cfg, "quad", _decode_quad, QuadOptions()),
         contour=bool(cfg.get("contour", False)),
-        levelset=levelset,
-        disk=_parse_disk(cfg.get("disk")),
-        out=str(out) if out is not None else None,
+        levelset=_block(cfg, "levelset", _decode_levelset, _DEFAULT_LEVELSET),
+        disk=_block(cfg, "disk", _optional(_decode_disk), None),
+        out=_block(cfg, "out", _optional(str), None),
     )
 
 
 def serialize_scenario(s: Scenario) -> dict:
+    """The scenario as a config dict that parses back to an equal Scenario.
+
+    Each object is written by its type's encoder; a builtin domain is written
+    as its Fourier coefficients, which parse to the same curve."""
     cfg: dict = {"version": 1, "k": s.k, "q": s.q}
     if s.domain is not None:
-        tag = s.domain[0]
-        if tag == "builtin":
-            cfg["domain"] = {"builtin": s.domain[1], "params": list(s.domain[2])}
-        elif tag == "corner":
-            cfg["domain"] = {"corner": {"theta": s.domain[1], "a1": s.domain[2], "a2": s.domain[3]}}
-        else:
-            cfg["domain"] = {
-                "a1": list(s.domain[1]),
-                "b1": list(s.domain[2]),
-                "a2": list(s.domain[3]),
-                "b2": list(s.domain[4]),
-            }
+        cfg["domain"] = _encode_domain(s.domain)
     if s.wave is not None:
-        kind = s.wave[0]
-        if kind == "plane":
-            cfg["wave"] = {"kind": "plane", "alpha": s.wave[1]}
-        elif kind == "plane_combo":
-            cfg["wave"] = {
-                "kind": "plane_combo",
-                "terms": [[[re, im], alpha] for re, im, alpha in s.wave[1]],
-            }
-        elif kind == "harmonic":
-            cfg["wave"] = {"kind": "harmonic", "n": s.wave[1]}
-        else:
-            cfg["wave"] = {
-                "kind": "herglotz",
-                "psi": {str(n): [re, im] for n, re, im in s.wave[1]},
-            }
+        cfg["wave"] = _encode_wave(s.wave)
     if s.lambda_grid:
         cfg["lambda_grid"] = list(s.lambda_grid)
     if s.p_power is not None:
         cfg["p"] = s.p_power
-    if s.g0 == "saddle":
-        cfg["g0"] = "saddle"
-    elif s.g0 != "zero":
-        cfg["g0"] = [s.g0.real, s.g0.imag]
+    if s.g0 != "zero":
+        cfg["g0"] = s.g0 if s.g0 == "saddle" else _pair(s.g0)
     cfg["quad"] = {"mode": s.quad.mode, "nodes": s.quad.nodes, "tol": s.quad.tol}
     if s.contour:
         cfg["contour"] = True
     if s.levelset != _DEFAULT_LEVELSET:
         rect, nr, ns = s.levelset
-        block: dict = {"nr": nr, "ns": ns}
+        cfg["levelset"] = {"nr": nr, "ns": ns}
         if rect is not None:
-            block["rect"] = [list(rect[0]), list(rect[1])]
-        cfg["levelset"] = block
+            cfg["levelset"]["rect"] = [list(rect[0]), list(rect[1])]
     if s.disk is not None:
-        tag = s.disk[0]
-        if tag == "roots":
-            cfg["disk"] = {"mode": "roots", "n": s.disk[1], "k_max": s.disk[2]}
-        elif tag == "compare_plane":
-            cfg["disk"] = {"mode": "compare", "alpha": s.disk[1]}
-        elif tag == "compare_harmonic":
-            cfg["disk"] = {"mode": "compare", "n": s.disk[1]}
-        else:
-            cfg["disk"] = {"mode": "wronskian", "n": s.disk[1]}
+        cfg["disk"] = _encode_disk(s.disk)
     if s.out is not None:
         cfg["out"] = s.out
     return cfg
@@ -299,28 +274,13 @@ def serialize_scenario(s: Scenario) -> dict:
 def build_domain(s: Scenario):
     if s.domain is None:
         raise ConfigError("scenario has no domain")
-    tag = s.domain[0]
-    try:
-        if tag == "builtin":
-            return builtin(s.domain[1], *s.domain[2])
-        if tag == "corner":
-            return CornerDomain(theta=s.domain[1], a1=s.domain[2], a2=s.domain[3])
-        return TrigCurve(a1=s.domain[1], b1=s.domain[2], a2=s.domain[3], b2=s.domain[4])
-    except (InvalidShapeParams, ValueError) as e:
-        raise ConfigError(f"bad domain: {e}")
+    return s.domain
 
 
 def build_wave(s: Scenario):
     if s.wave is None:
         raise ConfigError("scenario has no wave")
-    kind = s.wave[0]
-    if kind == "plane":
-        return PlaneWave(k=s.k, alpha=s.wave[1])
-    if kind == "plane_combo":
-        return PlaneCombo(k=s.k, terms=tuple((complex(re, im), alpha) for re, im, alpha in s.wave[1]))
-    if kind == "harmonic":
-        return CircularHarmonic(k=s.k, n=s.wave[1])
-    return HerglotzTrunc(k=s.k, psi=tuple((n, complex(re, im)) for n, re, im in s.wave[1]))
+    return s.wave
 
 
 def _emit(out_dir: str | None, name: str, text: str) -> None:
@@ -414,32 +374,28 @@ def cmd_levelset(s: Scenario, out: str | None) -> int:
 def cmd_disk(s: Scenario, out: str | None) -> int:
     if s.disk is None:
         raise ConfigError("disk command needs a disk block")
-    tag = s.disk[0]
+    m = s.disk
     circle = builtin("circle", 1.0)
-    if tag == "roots":
-        _, n, k_max = s.disk
+    if m.mode == "roots":
         lines = ["k,abs_C"]
-        for kj in nonscattering_wavenumbers(n, s.q, k_max):
-            lines.append(f"{kj!r},{abs(radial_wronskian(n, s.q, kj))!r}")
+        for kj in nonscattering_wavenumbers(m.n, s.q, m.k_max):
+            lines.append(f"{kj!r},{abs(radial_wronskian(m.n, s.q, kj))!r}")
         _emit(out, "disk.csv", "\n".join(lines) + "\n")
         return EXIT_OK
-    if tag == "wronskian":
-        n = s.disk[1]
-        cval = complex(radial_wronskian(n, s.q, s.k))
-        _emit(out, "disk.csv", "n,k,re_C,im_C\n" + f"{n},{s.k!r},{cval.real!r},{cval.imag!r}\n")
+    if m.mode == "wronskian":
+        cval = complex(radial_wronskian(m.n, s.q, s.k))
+        _emit(out, "disk.csv", "n,k,re_C,im_C\n" + f"{m.n},{s.k!r},{cval.real!r},{cval.imag!r}\n")
         return EXIT_OK
     if not s.lambda_grid:
         raise ConfigError("disk compare needs a lambda_grid")
     lines = ["lambda,re_closed,im_closed,re_quad,im_quad,rel_gap"]
     for lam in s.lambda_grid:
-        if tag == "compare_plane":
-            alpha = s.disk[1]
-            closed = disk_plane_closed_form(lam, alpha, s.k, s.q)
-            quad_val = area_integral_oracle(circle, PlaneWave(k=s.k, alpha=alpha), s.q, lam, s.quad)
+        if m.alpha is not None:
+            closed = disk_plane_closed_form(lam, m.alpha, s.k, s.q)
+            quad_val = area_integral_oracle(circle, PlaneWave(k=s.k, alpha=m.alpha), s.q, lam, s.quad)
         else:
-            n = s.disk[1]
-            closed = disk_herglotz_closed_form(lam, n, s.k, s.q)
-            quad_val = boundary_integral_I(circle, CircularHarmonic(k=s.k, n=n), s.q, lam, None, s.quad)
+            closed = disk_herglotz_closed_form(lam, m.n, s.k, s.q)
+            quad_val = boundary_integral_I(circle, CircularHarmonic(k=s.k, n=m.n), s.q, lam, None, s.quad)
         rel = abs(quad_val - closed) / max(abs(closed), 1e-300)
         lines.append(
             f"{float(lam)!r},{closed.real!r},{closed.imag!r},{quad_val.real!r},{quad_val.imag!r},{rel!r}"
@@ -525,16 +481,10 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}")
         scenario = parse_scenario(cfg)
-        if args.nodes is not None or args.tol is not None:
+        overrides = {key: v for key, v in (("nodes", args.nodes), ("tol", args.tol)) if v is not None}
+        if overrides:
             try:
-                scenario = replace(
-                    scenario,
-                    quad=QuadOptions(
-                        mode=scenario.quad.mode,
-                        nodes=args.nodes if args.nodes is not None else scenario.quad.nodes,
-                        tol=args.tol if args.tol is not None else scenario.quad.tol,
-                    ),
-                )
+                scenario = replace(scenario, quad=replace(scenario.quad, **overrides))
             except ValueError as e:
                 raise ConfigError(f"bad quad override: {e}")
         out = args.out if args.out is not None else scenario.out

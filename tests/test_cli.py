@@ -10,6 +10,9 @@ import nonscatter
 from nonscatter import cli, saddle
 from nonscatter.cli import main, parse_scenario, serialize_scenario
 from nonscatter.errors import ConfigError
+from nonscatter.waves import HerglotzTrunc
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 ELLIPSE = {"builtin": "ellipse", "params": [2, 1]}
 PLANE0 = {"kind": "plane", "alpha": 0.0}
@@ -50,15 +53,33 @@ def test_scenario_round_trip():
     again = parse_scenario(serialize_scenario(s))
     assert again == s
     assert s.g0 == complex(0.25, -1.0)
-    assert s.wave == ("herglotz", ((-2, 0.1, 0.0), (0, 1.0, -0.5)))
+    assert s.wave == HerglotzTrunc(k=1.5, psi=((-2, 0.1), (0, 1 - 0.5j)))
 
     minimal = parse_scenario({"version": 1, "k": 1.0, "q": 2.0})
     assert parse_scenario(serialize_scenario(minimal)) == minimal
 
 
+# configs that once escaped parse_scenario as bare TypeError/AttributeError,
+# or passed it with non-finite numbers
+ESCAPES = [
+    {"wave": {"kind": "plane", "alpha": None}},
+    {"wave": {"kind": "plane_combo", "terms": [[1, 2]]}},
+    {"wave": {"kind": "plane_combo", "terms": None}},
+    {"wave": {"kind": "herglotz", "psi": [[1.0, 0.0]]}},
+    {"wave": {"kind": "harmonic", "n": None}},
+    {"disk": {"mode": "wronskian", "n": None}},
+    {"levelset": {"nr": None}},
+    {"q": float("nan")},
+    {"q": float("inf")},
+    {"k": float("inf"), "q": 1e300},
+    {"p": float("nan")},
+    {"lambda_grid": [1.0, float("inf")]},
+]
+
+
 def test_scenario_validation_errors():
     base = {"version": 1, "k": 1.0, "q": 2.0}
-    bad = [
+    bad = [dict(base, **cfg) for cfg in ESCAPES] + [
         {"version": 2, "k": 1.0, "q": 2.0},
         {"version": 1, "q": 2.0},
         {"version": 1, "k": -1.0, "q": 2.0},
@@ -75,6 +96,25 @@ def test_scenario_validation_errors():
     for cfg in bad:
         with pytest.raises(ConfigError):
             parse_scenario(cfg)
+
+
+def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
+    base = {"version": 1, "k": 1.0, "q": 2.0, "domain": ELLIPSE, "wave": PLANE0}
+    for i, cfg in enumerate(ESCAPES):
+        rc, out = run(tmp_path, "analyze", dict(base, **cfg), out=f"o{i}")
+        assert rc == 2, cfg
+        assert not out.exists() or not os.listdir(out), cfg
+    assert capsys.readouterr().err.count("config error: bad ") == len(ESCAPES)
+
+
+def test_checked_in_scenarios_round_trip():
+    names = sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".json"))
+    assert len(names) >= 8
+    for name in names:
+        with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
+            s = parse_scenario(json.load(fh))
+        assert s.domain is not None, name
+        assert parse_scenario(serialize_scenario(s)) == s, name
 
 
 def test_analyze_ellipse(tmp_path):
