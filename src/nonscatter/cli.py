@@ -101,6 +101,13 @@ def _real(x) -> float:
     return v
 
 
+def _integer(x) -> int:
+    v = _real(x)
+    if v != int(v):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(v)
+
+
 def _reals(xs) -> tuple:
     return tuple(_real(x) for x in xs)
 
@@ -143,7 +150,7 @@ def _decode_wave(w, k: float) -> WaveModel:
             raise ValueError("plane_combo needs at least one term")
         return PlaneCombo(k=k, terms=terms)
     if kind == "harmonic":
-        return CircularHarmonic(k=k, n=int(w["n"]))
+        return CircularHarmonic(k=k, n=_integer(w["n"]))
     if kind == "herglotz":
         psi = tuple((int(n), _complex(c)) for n, c in w["psi"].items())
         if not psi:
@@ -165,11 +172,11 @@ def _encode_wave(w: WaveModel) -> dict:
 def _decode_disk(d) -> DiskMode:
     mode = d["mode"]
     if mode == "roots":
-        return DiskMode(mode, n=int(d["n"]), k_max=_real(d["k_max"]))
+        return DiskMode(mode, n=_integer(d["n"]), k_max=_real(d["k_max"]))
     if mode == "compare" and "alpha" in d:
         return DiskMode(mode, alpha=_real(d["alpha"]))
     if mode in ("compare", "wronskian"):
-        return DiskMode(mode, n=int(d["n"]))
+        return DiskMode(mode, n=_integer(d["n"]))
     raise ValueError(f"unknown disk mode {mode!r}")
 
 
@@ -185,7 +192,7 @@ def _decode_g0(v):
 
 def _decode_quad(qd) -> QuadOptions:
     return QuadOptions(
-        mode=qd.get("mode", "periodic_trapezoid"), nodes=int(qd.get("nodes", 32)), tol=float(qd.get("tol", 1e-10))
+        mode=qd.get("mode", "periodic_trapezoid"), nodes=_integer(qd.get("nodes", 32)), tol=float(qd.get("tol", 1e-10))
     )
 
 
@@ -194,7 +201,7 @@ def _decode_levelset(ls) -> tuple:
     if rect is not None:
         (r_lo, r_hi), (s_lo, s_hi) = rect
         rect = ((_real(r_lo), _real(r_hi)), (_real(s_lo), _real(s_hi)))
-    return (rect, int(ls.get("nr", 481)), int(ls.get("ns", 361)))
+    return (rect, _integer(ls.get("nr", 481)), _integer(ls.get("ns", 361)))
 
 
 _REQUIRED = object()

@@ -86,23 +86,34 @@ def xi_vector(p: SpectralParams) -> TestVector:
     return TestVector((complex(0.0, -p.lam), complex(root, 0.0)))
 
 
-def _g_series(n: int, w: np.ndarray) -> np.ndarray:
-    # G_n(w) = sum_m (-w)^m / (m! (m+n)!), Kahan-compensated; each element
-    # stops at its own rule and drops out of the working arrays
-    if n <= 128:
-        t0 = 1.0 / float(math.factorial(n))
-    else:
-        t0 = math.exp(-math.lgamma(n + 1.0))
-    out = np.empty(w.size, dtype=complex)
-    pos = np.arange(w.size)
-    w = w.ravel()
-    term = np.full(w.size, t0, dtype=complex)
+def _g_series(orders, w: np.ndarray) -> np.ndarray:
+    # G_n(w) = sum_m (-w)^m / (m! (m+n)!) for each n of `orders` at each point of
+    # w, as rows of a (len(orders), w.size) array, Kahan-compensated, in one loop
+    # over m; each (order, point) pair stops at its own rule and drops out
+    t0 = np.array([1.0 / float(math.factorial(n)) if n <= 128 else math.exp(-math.lgamma(n + 1.0)) for n in orders])
+    out = np.empty((len(orders), w.size), dtype=complex)
+    flat = out.reshape(-1)
+    pos = np.arange(out.size)
+    row = np.repeat(np.arange(len(orders)), w.size)
+    n = np.asarray(orders, dtype=int)[row]
+    t0 = t0[row]
+    w = np.tile(w.ravel(), len(orders))
+    term = t0.astype(complex)
     total = term.copy()
     carry = np.zeros(w.size, dtype=complex)
+    lone = _lone(row)
     m = 0
     while pos.size:
         m += 1
-        term *= -w / (m * (m + n))
+        step = -w / (m * (m + n))
+        before = term[lone] if lone.size else None
+        term *= step
+        # numpy multiplies a one-element array in place unfused, a longer one
+        # fused: a point left alone in its order gets the product it gets alone
+        for j, i in enumerate(lone):
+            one = before[j : j + 1]
+            one *= step[i : i + 1]
+            term[i] = one[0]
         y = term - carry
         t = total + y
         carry = (t - total) - y
@@ -113,26 +124,33 @@ def _g_series(n: int, w: np.ndarray) -> np.ndarray:
         if m > 500:
             done[:] = True
         if done.any():
-            out[pos[done]] = total[done]
+            flat[pos[done]] = total[done]
             keep = ~done
-            pos, w, term, total, carry = pos[keep], w[keep], term[keep], total[keep], carry[keep]
+            pos, row, n, t0, w, term, total, carry = (a[keep] for a in (pos, row, n, t0, w, term, total, carry))
+            lone = _lone(row)
     return out
 
 
-def _split(x, cut: float, series, one):
+def _lone(row: np.ndarray) -> np.ndarray:
+    """Indices of the elements that are the only one left of their order."""
+    return np.flatnonzero(np.bincount(row)[row] == 1)
+
+
+def _split(x, cut: float, series, one, orders: int = 1) -> list:
     """series() on the points with |x| <= cut, vectorized, and one() on each
-    point beyond; complex for a scalar x, else an array of its shape."""
+    point beyond, for `orders` rows at once: a list of one result per row,
+    complex for a scalar x, else an array of its shape."""
     arr = np.asarray(x, dtype=complex)
     flat = arr.ravel()
     small = np.abs(flat) <= cut
-    out = np.empty(flat.size, dtype=complex)
+    out = np.empty((orders, flat.size), dtype=complex)
     if small.any():
-        out[small] = series(flat[small])
+        out[:, small] = series(flat[small])
     for i in np.flatnonzero(~small):
-        out[i] = one(complex(flat[i]))
+        out[:, i] = one(complex(flat[i]))
     if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+        return [complex(row[0]) for row in out]
+    return list(out.reshape((orders,) + arr.shape))
 
 
 def _g_beyond(n: int, w: complex) -> complex:
@@ -141,16 +159,23 @@ def _g_beyond(n: int, w: complex) -> complex:
     return bessel_j(n, 2.0 * s) / s**n
 
 
-def bessel_g(n: int, w):
+def bessel_g(n, w):
     """Entire function G_n(w) = sum_m (-w)^m/(m!(m+n)!); J_n(z) = (z/2)^n G_n(z^2/4).
 
     `w` may be a scalar (returns complex) or an array (returns a complex array
     of its shape): the series runs vectorized for |w| <= 16, the points beyond
-    go one by one through J_n and its envelope check.
+    go one by one through J_n and its envelope check.  For a sequence of
+    orders `n`, returns the list of G_m(w) over m in n, every order from the
+    same series pass; each equals bessel_g(m, w) bit for bit.
     """
-    if n < 0:
-        raise ValueError(f"bessel_g requires n >= 0, got {n}")
-    return _split(w, _G_SERIES_CUT, lambda w: _g_series(n, w), lambda w: _g_beyond(n, w))
+    single = np.ndim(n) == 0
+    orders = [n] if single else list(n)
+    if orders and min(orders) < 0:
+        raise ValueError(f"bessel_g requires n >= 0, got {min(orders)}")
+    vals = _split(
+        w, _G_SERIES_CUT, lambda w: _g_series(orders, w), lambda w: [_g_beyond(m, w) for m in orders], len(orders)
+    )
+    return vals[0] if single else vals
 
 
 def _miller(n: int, z: complex) -> complex:
@@ -203,7 +228,7 @@ def bessel_j(n: int, z):
     if n < 0:
         val = bessel_j(-n, z)
         return -val if n % 2 else val
-    return _split(z, _SERIES_CUT, lambda z: (0.5 * z) ** n * _g_series(n, 0.25 * z * z), lambda z: _miller(n, z))
+    return _split(z, _SERIES_CUT, lambda z: (0.5 * z) ** n * _g_series((n,), 0.25 * z * z)[0], lambda z: _miller(n, z))[0]
 
 
 def bessel_jp(n: int, z):
@@ -217,6 +242,7 @@ def bessel_jp(n: int, z):
         w = 0.25 * z * z
         h = 0.5 * z
         lead = 0.5 * n * h ** (n - 1) if n > 0 else 0.0
-        return lead * _g_series(n, w) - h ** (n + 1) * _g_series(n + 1, w)
+        g, g1 = _g_series((n, n + 1), w)
+        return lead * g - h ** (n + 1) * g1
 
-    return _split(z, _SERIES_CUT, series, lambda z: 0.5 * (_miller_any(n - 1, z) - _miller_any(n + 1, z)))
+    return _split(z, _SERIES_CUT, series, lambda z: 0.5 * (_miller_any(n - 1, z) - _miller_any(n + 1, z)))[0]

@@ -5,9 +5,15 @@ The diagnostic integral over a closed curve x(t), t in [-pi, pi], is
 with g = x1 + i x2, v = u(x(t)), V = grad u(x(t)), lt = sqrt(lam^2+k^2 q) - lam.
 Real-interval evaluation uses the periodic trapezoid rule; deformed contours
 and corner legs use adaptive Gauss panels.  An optional normalization g0 folds
-e^(-lam g0) into the exponent so large-lam sweeps never overflow.  A sweep
-evaluates the lam-free part of the integrand (curve jets, v and V) once per
-node set and reuses it at every lam.
+e^(-lam g0) into the exponent so large-lam sweeps never overflow.
+
+Every integral is one walk over the rule's node arrays that serves a whole
+lam grid (a single lam is the one-row case): the Gauss panel tree is walked
+depth first, and each visited panel evaluates the lam-free integrand data
+(curve jets, v and V) once for every lam still refining there; the trapezoid
+rule doubles all lams together and evaluates only the new nodes.  Each lam
+keeps its own tolerance and convergence test, so it gets the rule, the value
+and the error that it gets alone.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class QuadOptions:
             raise ValueError(f"tol must lie in [1e-14, 1e-4], got {self.tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     lam: float
     I_raw: complex
@@ -76,27 +82,22 @@ class SweepRecord:
     nodes_used: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     limit: complex
     order: float
 
 
-def _exp_factor(p: SpectralParams, g, x2, g0: complex):
-    lt = lambda_tilde(p)
-    expo = p.lam * (g - g0) + 1j * lt * np.asarray(x2, dtype=complex)
-    worst = float(expo.real.max()) if np.size(expo) else 0.0
-    if worst > _EXP_CAP:
-        raise OverflowRisk(
-            f"exponent lam (Re g - Re g0) reaches {worst:.1f} > {_EXP_CAP:.0f}; "
-            "normalize by g0 = g(t0) and deform the contour"
-        )
-    return np.exp(expo), lt
+def _overflow(worst: float) -> OverflowRisk:
+    return OverflowRisk(
+        f"exponent lam (Re g - Re g0) reaches {worst:.1f} > {_EXP_CAP:.0f}; "
+        "normalize by g0 = g(t0) and deform the contour"
+    )
 
 
 # The integrand is [A + i lam g' v + i lt x1' v] e^(lam (g - g0) + i lt x2) with
 # A = x2' V1 - x1' V2.  Its lam-free node data (x2, g, g', x1', v, A) are computed
-# once per node array and kept in a dict that the caller of _integrator owns.
+# once per node array and serve every lam row of the walk.
 
 
 def _curve_nodes(curve: TrigCurve, wave):
@@ -122,36 +123,19 @@ def _corner_nodes(slope: float, wave):
     return data
 
 
-def _node_cache(data, memo: dict, piece: int):
-    def cached(ts: np.ndarray):
-        key = (piece, ts.dtype.str, ts.tobytes())
-        if key not in memo:
-            memo[key] = data(ts)
-        return memo[key]
-
-    return cached
+def _exponent(lam, lt, g, x2, g0: complex):
+    return lam * (g - g0) + 1j * lt * np.asarray(x2, dtype=complex)
 
 
-def _lam_step(data, p: SpectralParams, g0: complex):
-    def fn(ts: np.ndarray) -> np.ndarray:
+def _lam_rows(data, lams: np.ndarray, lts: np.ndarray, g0: complex):
+    """A walk step: (nodes, rows) -> (prefactor, exponent), each of shape (rows, nodes)."""
+
+    def step(ts: np.ndarray, rows: np.ndarray):
         x2, g, gp, x1p, v, A = data(ts)
-        E, lt = _exp_factor(p, g, x2, g0)
-        return (A + 1j * p.lam * gp * v + 1j * lt * x1p * v) * E
+        lam, lt = lams[rows, None], lts[rows, None]
+        return A + 1j * lam * gp * v + 1j * lt * x1p * v, _exponent(lam, lt, g, x2, g0)
 
-    return fn
-
-
-def _trapezoid(fn, tol: float, start: int):
-    n = max(start, 8)
-    prev = None
-    while n <= _MAX_TRAP:
-        ts = -math.pi + 2.0 * math.pi * np.arange(n) / n
-        cur = 2.0 * math.pi / n * complex(fn(ts).sum())
-        if prev is not None and abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return cur, n
-        prev = cur
-        n *= 2
-    raise QuadratureNotConverged(f"trapezoid rule still moving at {_MAX_TRAP} nodes")
+    return step
 
 
 _GAUSS_CACHE: dict = {}
@@ -164,94 +148,200 @@ def _gauss01(n: int):
     return _GAUSS_CACHE[n]
 
 
-def _panel(fn, a: complex, b: complex, n: int) -> complex:
-    u, w = _gauss01(n)
-    zs = a + (b - a) * u
-    return (b - a) * complex((fn(zs) * w).sum())
+class _Walk:
+    """One quadrature pass that serves a grid of lam rows, numbered in increasing lam.
+
+    A step maps (nodes, rows) to the integrand's prefactor and exponent, arrays
+    of shape (rows, nodes), or to its values and None.  The walk visits each
+    node array once, for every row still running there, and each row keeps its
+    own tolerance, convergence test and node count, so its rule is the one it
+    would get alone.  A row that fails keeps its first error and stops, and so
+    does every larger row: the walk's error is that of its smallest failed row,
+    the one where a lam-by-lam loop would have stopped.
+    """
+
+    def __init__(self):
+        self.stop = math.inf  # rows from here on no longer run
+        self.error: Exception | None = None
+
+    def fail(self, row: int, exc: Exception) -> None:
+        if row < self.stop:
+            self.stop, self.error = row, exc
+
+    def values(self, step, zs: np.ndarray, rows: np.ndarray, pieces: int):
+        """(rows kept, values of shape (kept, pieces, nodes per piece)).  The
+        exponent cap is checked per row and piece; no row is exponentiated past it."""
+        pre, expo = step(zs, rows)
+        shape = (len(rows), pieces, len(zs) // pieces)
+        if expo is None:
+            return rows, pre.reshape(shape)
+        worst = expo.real.reshape(shape).max(axis=-1)
+        over = worst > _EXP_CAP
+        if over.any():
+            for i in np.flatnonzero(over.any(axis=1)):
+                self.fail(rows[i], _overflow(worst[i, np.argmax(over[i])]))
+            keep = rows < self.stop
+            rows, pre, expo = rows[keep], pre[keep], expo[keep]
+        # E is bound to a name: numpy would compute pre * <temporary> in place as
+        # <temporary> * pre, and complex products are fused, so their order shows in the bits
+        E = np.exp(expo)
+        return rows, (pre * E).reshape((len(rows),) + shape[1:])
+
+    def trapezoid(self, step, tol: float, start: int, rows: np.ndarray) -> dict:
+        """{row: (integral, nodes)} from the periodic trapezoid rule on [-pi, pi],
+        doubled until two rules agree; each doubling evaluates only the new nodes."""
+        n = max(start, 8)
+        rows, F = self.values(step, -math.pi + 2.0 * math.pi * np.arange(n) / n, rows, 1)
+        F = F[:, 0]
+        prev: dict = {}
+        out = {}
+        while rows.size:
+            going = []
+            for i, (r, total) in enumerate(zip(rows.tolist(), F.sum(axis=-1))):
+                cur = 2.0 * math.pi / n * complex(total)
+                if r in prev and abs(cur - prev[r]) <= tol * max(1.0, abs(cur)):
+                    out[r] = (cur, n)
+                else:
+                    prev[r] = cur
+                    going.append(i)
+            rows, F = rows[going], F[going]
+            n *= 2
+            if n > _MAX_TRAP:
+                for r in rows.tolist():
+                    self.fail(r, QuadratureNotConverged(f"trapezoid rule still moving at {_MAX_TRAP} nodes"))
+                break
+            if rows.size:
+                # the even nodes of the 2n-rule are the n-rule's, bit for bit
+                kept, odd = self.values(step, -math.pi + 2.0 * math.pi * np.arange(1, n, 2) / n, rows, 1)
+                full = np.empty((len(kept), n), dtype=complex)
+                full[:, 0::2] = F[np.isin(rows, kept)]
+                full[:, 1::2] = odd[:, 0]
+                rows, F = kept, full
+        return out
+
+    def chain(self, step, ends, n: int, tol: float, rows: np.ndarray) -> dict:
+        """{row: (integral, nodes used)} from adaptive n-point Gauss panels along the
+        polyline `ends`, with absolute tolerance tol max(1, |rough sum|) per row."""
+        u, w = _gauss01(n)
+        segs = list(zip(ends[:-1], ends[1:]))
+        rows, F = self.values(step, np.concatenate([a + (b - a) * u for a, b in segs]), rows, len(segs))
+        sums = (F * w).sum(axis=-1)
+        lengths = np.array([abs(b - a) for a, b in segs])
+        total_len = lengths.sum()
+        rough = {r: [(b - a) * complex(x) for (a, b), x in zip(segs, row)] for r, row in zip(rows.tolist(), sums)}
+        abs_tol = {r: tol * max(1.0, abs(sum(vals))) for r, vals in rough.items()}
+        used = {r: n * len(segs) for r in rough}
+        totals = {r: 0.0 + 0.0j for r in rough}
+        for j, ((a, b), L) in enumerate(zip(segs, lengths)):
+            live = [r for r in totals if r < self.stop]
+            got = self._refine(
+                step, a, b, n, {r: rough[r][j] for r in live}, {r: abs_tol[r] * L / total_len for r in live}, 0, used
+            )
+            totals = {r: totals[r] + v for r, v in got.items()}
+        return {r: (v, used[r]) for r, v in totals.items() if r < self.stop}
+
+    def _refine(self, step, a, b, n: int, whole: dict, tol: dict, depth: int, used: dict) -> dict:
+        """{row: value of the panel [a, b]}, halving it until the halves of each row
+        agree with `whole`, that row's value of the panel, to within its tolerance."""
+        if not whole:
+            return {}
+        u, w = _gauss01(n)
+        mid = 0.5 * (a + b)
+        zs = np.concatenate([a + (mid - a) * u, mid + (b - mid) * u])
+        rows, F = self.values(step, zs, np.array(list(whole)), 2)
+        sums = (F * w).sum(axis=-1)
+        done = {}
+        halves = []
+        for r, (s_left, s_right) in zip(rows.tolist(), sums):
+            left = (mid - a) * complex(s_left)
+            right = (b - mid) * complex(s_right)
+            used[r] += 2 * n
+            if abs(whole[r] - (left + right)) <= tol[r]:
+                done[r] = left + right
+            elif depth >= _MAX_DEPTH:
+                self.fail(
+                    r,
+                    QuadratureNotConverged(
+                        f"panel [{a:.4g}, {b:.4g}] disagrees by {abs(whole[r] - left - right):.3g} at max depth"
+                    ),
+                )
+            else:
+                halves.append((r, left, right))
+        halves = [h for h in halves if h[0] < self.stop]
+        if halves:
+            half_tol = {r: 0.5 * tol[r] for r, _, _ in halves}
+            lv = self._refine(step, a, mid, n, {r: x for r, x, _ in halves}, half_tol, depth + 1, used)
+            rv = self._refine(step, mid, b, n, {r: x for r, _, x in halves if r in lv}, half_tol, depth + 1, used)
+            done.update((r, lv[r] + x) for r, x in rv.items())
+        return {r: x for r, x in done.items() if r < self.stop}
 
 
-def _adaptive_segment(fn, a, b, n, whole, abs_tol, depth, counter):
-    # `whole` is the parent's value of the panel [a, b]
-    mid = 0.5 * (a + b)
-    left = _panel(fn, a, mid, n)
-    right = _panel(fn, mid, b, n)
-    counter[0] += 2 * n
-    if abs(whole - (left + right)) <= abs_tol:
-        return left + right
-    if depth >= _MAX_DEPTH:
-        raise QuadratureNotConverged(
-            f"panel [{a:.4g}, {b:.4g}] disagrees by {abs(whole - left - right):.3g} at max depth"
-        )
-    return _adaptive_segment(fn, a, mid, n, left, 0.5 * abs_tol, depth + 1, counter) + _adaptive_segment(
-        fn, mid, b, n, right, 0.5 * abs_tol, depth + 1, counter
-    )
-
-
-def _panel_chain(fn, endpoints, n, tol):
-    segs = list(zip(endpoints[:-1], endpoints[1:]))
-    rough = [_panel(fn, a, b, n) for a, b in segs]
-    lengths = np.array([abs(b - a) for a, b in segs])
-    total_len = lengths.sum()
-    abs_tol = tol * max(1.0, abs(sum(rough)))
-    counter = [n * len(segs)]
-    total = 0.0 + 0.0j
-    for (a, b), whole, L in zip(segs, rough, lengths):
-        total += _adaptive_segment(fn, a, b, n, whole, abs_tol * L / total_len, 0, counter)
-    return total, counter[0]
-
-
-def _integrator(domain, wave, q: float, path, opts: QuadOptions, memo: dict):
-    """lam -> (integral, nodes used); the node data of every piece of the path go to memo."""
+def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams) -> list:
+    """[(integral, nodes used)] for each lam of the increasing list `lams`, from one
+    walk; raises the error of the smallest lam that fails."""
     g0 = complex(opts.g0) if opts.g0 is not None else 0.0 + 0.0j
     n_panel = min(max(opts.nodes, 16), 64)
-
-    def params(lam: float) -> SpectralParams:
-        return SpectralParams(k=wave.k, q=q, lam=lam)
-
     if isinstance(domain, CornerDomain):
         # split toward the corner where e^(lam t) concentrates
         legs = [
-            (seg.orient, [seg.a, 0.5 * seg.a, 0.25 * seg.a, 0.0], _node_cache(_corner_nodes(seg.slope, wave), memo, i))
-            for i, seg in enumerate(corner_segments(domain))
+            (seg.orient, [seg.a, 0.5 * seg.a, 0.25 * seg.a, 0.0], _corner_nodes(seg.slope, wave))
+            for seg in corner_segments(domain)
         ]
-
-        def corner(lam: float):
-            p = params(lam)
-            total = 0.0 + 0.0j
-            nodes = 0
-            for orient, ends, data in legs:
-                val, used = _panel_chain(_lam_step(data, p, g0), ends, n_panel, opts.tol)
-                total += orient * val
-                nodes += used
-            return total, nodes
-
-        return corner
-
-    if not isinstance(domain, TrigCurve):
+    elif not isinstance(domain, TrigCurve):
         raise TypeError(f"unsupported domain {type(domain).__name__}")
-    data = _node_cache(_curve_nodes(domain, wave), memo, 0)
-
-    if isinstance(path, ContourPath):
-        ends = list(path.waypoints)
+    elif isinstance(path, ContourPath):
+        legs = [(1, list(path.waypoints), _curve_nodes(domain, wave))]
     else:
         if path is not None:
             a, b = path
             if abs(a + math.pi) > 1e-12 or abs(b - math.pi) > 1e-12:
                 raise ValueError("real-interval path must be the full period (-pi, pi)")
-        if opts.mode != "panel_gauss":
-            return lambda lam: _trapezoid(_lam_step(data, params(lam), g0), opts.tol, max(opts.nodes, 64))
-        ends = list(np.linspace(-math.pi, math.pi, 9))
-    return lambda lam: _panel_chain(_lam_step(data, params(lam), g0), ends, n_panel, opts.tol)
+        ends = None if opts.mode != "panel_gauss" else list(np.linspace(-math.pi, math.pi, 9))
+        legs = [(1, ends, _curve_nodes(domain, wave))]
+
+    walk = _Walk()
+    lts = []
+    for row, lam in enumerate(lams):
+        try:
+            lts.append(lambda_tilde(SpectralParams(k=wave.k, q=q, lam=lam)))
+        except ValueError as e:
+            walk.fail(row, e)
+            break
+    lam_rows, lt_rows = np.array(lams[: len(lts)], dtype=float), np.array(lts)
+    rows = np.arange(len(lts))
+    got = []
+    for _, ends, data in legs:
+        step = _lam_rows(data, lam_rows, lt_rows, g0)
+        rows = rows[rows < walk.stop]
+        if ends is None:
+            got.append(walk.trapezoid(step, opts.tol, max(opts.nodes, 64), rows))
+        else:
+            got.append(walk.chain(step, ends, n_panel, opts.tol, rows))
+    if walk.error is not None:
+        raise walk.error
+    if not isinstance(domain, CornerDomain):
+        return [got[0][r] for r in range(len(lams))]
+    out = []
+    for r in range(len(lams)):
+        total, nodes = 0.0 + 0.0j, 0
+        for (orient, _, _), leg in zip(legs, got):
+            val, used = leg[r]
+            total += orient * val
+            nodes += used
+        out.append((total, nodes))
+    return out
 
 
 def boundary_integral_I(domain, wave, q: float, lam: float, path=None, opts: QuadOptions | None = None) -> complex:
     """The diagnostic integral; with opts.g0 set, returns e^(-lam g0) I(lam)."""
-    memo: dict = {}
-    try:
-        val, _ = _integrator(domain, wave, q, path, opts or QuadOptions(), memo)(lam)
-    finally:
-        memo.clear()  # a raised error's traceback keeps this frame, not the node data, alive
+    [(val, _)] = _integrals(domain, wave, q, path, opts or QuadOptions(), [lam])
     return val
+
+
+def _one(walk: _Walk, got: dict) -> complex:
+    if walk.error is not None:
+        raise walk.error
+    return got[0][0]
 
 
 def _in_blocks(fn, ts: np.ndarray, points_per_node: int) -> np.ndarray:
@@ -282,8 +372,9 @@ def boundary_integral_I_byparts(curve: TrigCurve, wave, q: float, lam: float, pa
     opts = opts or QuadOptions()
     p = SpectralParams(k=wave.k, q=q, lam=lam)
     g0 = complex(opts.g0) if opts.g0 is not None else 0.0 + 0.0j
+    lt = lambda_tilde(p)
 
-    def fn(ts: np.ndarray) -> np.ndarray:
+    def step(ts: np.ndarray, rows: np.ndarray):
         jets = eval_jets(curve, ts, order=1)
         x1, x2 = jets[0]
         x1p, x2p = jets[1]
@@ -291,16 +382,13 @@ def boundary_integral_I_byparts(curve: TrigCurve, wave, q: float, lam: float, pa
         V1, V2 = s.V
         w = 1j * V1 + V2
         wp = _w_prime_ring(wave, curve, ts)
-        g = x1 + 1j * x2
-        E, lt = _exp_factor(p, g, x2, g0)
-        return (p.lam * lt * (x2p + 1j * x1p) * s.v + wp + 1j * lt * x2p * w) * E
+        pre = p.lam * lt * (x2p + 1j * x1p) * s.v + wp + 1j * lt * x2p * w
+        return pre[None, :], _exponent(p.lam, lt, x1 + 1j * x2, x2, g0)[None, :]
 
+    walk = _Walk()
     if isinstance(path, ContourPath):
-        n_panel = min(max(opts.nodes, 16), 64)
-        val, _ = _panel_chain(fn, list(path.waypoints), n_panel, opts.tol)
-        return val
-    val, _ = _trapezoid(fn, opts.tol, max(opts.nodes, 64))
-    return val
+        return _one(walk, walk.chain(step, list(path.waypoints), min(max(opts.nodes, 16), 64), opts.tol, np.arange(1)))
+    return _one(walk, walk.trapezoid(step, opts.tol, max(opts.nodes, 64), np.arange(1)))
 
 
 def area_integral_oracle(curve: TrigCurve, wave, q: float, lam: float, opts: QuadOptions | None = None) -> complex:
@@ -339,32 +427,28 @@ def area_integral_oracle(curve: TrigCurve, wave, q: float, lam: float, opts: Qua
         acc = ((sw * su)[:, None] * u * np.exp(p.lam * y1 + 1j * xi2 * y2)).sum(axis=0)
         return acc * j0
 
-    val, _ = _trapezoid(lambda ts: _in_blocks(block, ts, len(su)), opts.tol, max(opts.nodes, 128))
-    return val
+    walk = _Walk()
+    got = walk.trapezoid(lambda ts, rows: (_in_blocks(block, ts, len(su))[None, :], None), opts.tol, max(opts.nodes, 128), np.arange(1))
+    return _one(walk, got)
 
 
 def lambda_sweep(domain, wave, q: float, lam_grid, p_power: float, g0: complex, path=None, opts: QuadOptions | None = None) -> list[SweepRecord]:
     """resid(lam) = lam^p e^(-lam g0) I(lam), exponential folded into the quadrature.
 
-    Every lam runs the same node sets, so their lam-free integrand data are
-    computed once for the whole sweep."""
+    One walk serves the whole grid: each node array is evaluated once, for
+    every lam still refining there, and each lam gets the rule it would get
+    alone.  A failing sweep raises the error of its smallest failing lam."""
     grid = [float(x) for x in lam_grid]
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
-    memo: dict = {}
     records = []
-    try:
-        run = _integrator(domain, wave, q, path, replace(opts or QuadOptions(), g0=complex(g0)), memo)
-        for lam in grid:
-            val, used = run(lam)
-            w = lam * complex(g0)
-            if w.real > _EXP_CAP:
-                raw = complex(math.inf, math.inf)
-            else:
-                raw = val * cmath.exp(w)
-            records.append(SweepRecord(lam=lam, I_raw=raw, resid=lam**p_power * val, nodes_used=used))
-    finally:
-        memo.clear()  # a raised error's traceback keeps this frame, not the node data, alive
+    for lam, (val, used) in zip(grid, _integrals(domain, wave, q, path, replace(opts or QuadOptions(), g0=complex(g0)), grid)):
+        w = lam * complex(g0)
+        if w.real > _EXP_CAP:
+            raw = complex(math.inf, math.inf)
+        else:
+            raw = val * cmath.exp(w)
+        records.append(SweepRecord(lam=lam, I_raw=raw, resid=lam**p_power * val, nodes_used=used))
     return records
 
 

@@ -116,12 +116,14 @@ def _planes(k: float, terms, x1, x2, grad: bool):
 def _harmonics(k: float, terms, x1, x2, grad: bool):
     # h_n = 2 pi i^|n| (k/2)^|n| s^|n| G_|n|(w), s = x1 +/- i x2, w = k^2 (x.x)/4;
     # d/dx_j G_m(w) = -G_{m+1}(w) k^2 x_j / 2.  Each distinct order G_m is
-    # evaluated once, for +n and -n and for the value and the gradient alike
+    # evaluated once, for +n and -n and for the value and the gradient alike,
+    # and all of them in one bessel_g call, which shares its series pass
     w = 0.25 * k * k * (x1 * x1 + x2 * x2)
     orders = {abs(n) for n, _ in terms}
     if grad:
         orders |= {m + 1 for m in orders}
-    G = {m: bessel_g(m, w) for m in sorted(orders)}
+    orders = sorted(orders)
+    G = dict(zip(orders, bessel_g(orders, w)))
     v = 0j
     g1 = 0j
     g2 = 0j

@@ -76,6 +76,16 @@ ESCAPES = [
     {"lambda_grid": [1.0, float("inf")]},
 ]
 
+# integer fields that int() once truncated, and the block each error names
+FRACTIONS = [
+    ({"wave": {"kind": "harmonic", "n": 2.7}}, "wave"),
+    ({"quad": {"nodes": 40.9}}, "quad"),
+    ({"disk": {"mode": "compare", "n": 1.5}}, "disk"),
+    ({"disk": {"mode": "roots", "n": 2.5, "k_max": 10.0}}, "disk"),
+    ({"levelset": {"nr": 100.5}}, "levelset"),
+    ({"levelset": {"ns": float("inf")}}, "levelset"),
+]
+
 
 def test_scenario_validation_errors():
     base = {"version": 1, "k": 1.0, "q": 2.0}
@@ -92,19 +102,26 @@ def test_scenario_validation_errors():
         dict(base, lambda_grid=["x"]),
         dict(base, quad={"tol": 1e-20}),
         dict(base, levelset={"rect": [1, 2]}),
-    ]
+    ] + [dict(base, **cfg) for cfg, _ in FRACTIONS]
     for cfg in bad:
         with pytest.raises(ConfigError):
             parse_scenario(cfg)
+    for cfg, block in FRACTIONS:
+        with pytest.raises(ConfigError, match=f"^bad {block}: ValueError"):
+            parse_scenario(dict(base, **cfg))
+    # integral floats still parse
+    s = parse_scenario(dict(base, wave={"kind": "harmonic", "n": 2.0}, quad={"nodes": 40.0}))
+    assert s.wave.n == 2 and isinstance(s.wave.n, int) and s.quad.nodes == 40
 
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     base = {"version": 1, "k": 1.0, "q": 2.0, "domain": ELLIPSE, "wave": PLANE0}
-    for i, cfg in enumerate(ESCAPES):
+    malformed = ESCAPES + [cfg for cfg, _ in FRACTIONS]
+    for i, cfg in enumerate(malformed):
         rc, out = run(tmp_path, "analyze", dict(base, **cfg), out=f"o{i}")
         assert rc == 2, cfg
         assert not out.exists() or not os.listdir(out), cfg
-    assert capsys.readouterr().err.count("config error: bad ") == len(ESCAPES)
+    assert capsys.readouterr().err.count("config error: bad ") == len(malformed)
 
 
 def test_checked_in_scenarios_round_trip():

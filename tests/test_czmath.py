@@ -282,6 +282,29 @@ def test_bessel_g_envelope_hypothesis(n, polar):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, wi)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=70), min_size=0, max_size=6, unique=True),
+    st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=40.0), st.floats(min_value=-math.pi, max_value=math.pi)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_bessel_g_orders_share_one_pass(orders, polar):
+    # one series pass for several orders gives each order's values bit for bit,
+    # on arrays and scalars, with |w| on both sides of the series cut 16
+    w = np.array([cmath.rect(r, th) for r, th in polar], dtype=complex)
+    together = bessel_g(orders, w)
+    assert len(together) == len(orders)
+    for m, got in zip(orders, together):
+        assert got.shape == w.shape
+        assert got.tobytes() == bessel_g(m, w).tobytes(), m
+    for wi in w:
+        for m, got in zip(orders, bessel_g(orders, complex(wi))):
+            assert isinstance(got, complex) and got == bessel_g(m, complex(wi)), (m, wi)
+
+
 def test_bessel_g_array_shape():
     w = np.array([[0.5, -3.0 + 1.0j, 29.0], [16.5j, 0.0, -100.0]])
     out = bessel_g(3, w)

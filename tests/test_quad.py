@@ -1,4 +1,6 @@
 import math
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from nonscatter.quad import (
     sweep_to_csv,
 )
 from nonscatter import waves as _waves
-from nonscatter.waves import CircularHarmonic, PlaneWave, sample as wave_sample
+from nonscatter.waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, sample as wave_sample
 
 PI = math.pi
 
@@ -265,3 +267,108 @@ def test_corner_quadrature_approaches_wedge_constant():
     assert abs(40.0**2 * a - want) <= 0.1 * abs(want)
     c = boundary_integral_I(dom, wave, q, 80.0)
     assert abs(80.0**2 * c - want) <= 0.05 * abs(want)
+
+
+_WAVES = {
+    "plane": PlaneWave(k=1.0, alpha=0.4),
+    "combo": PlaneCombo(k=1.0, terms=((1.0, 0.3), (0.5 - 0.2j, 2.0))),
+    "harmonic": CircularHarmonic(k=1.0, n=2),
+    "herglotz": HerglotzTrunc(k=1.0, psi=((-2, 0.2j), (0, 1.0), (1, 0.3 - 0.1j))),
+}
+
+
+def _sweep_case(kind, curves, saddles, paths):
+    """(domain, path, g0, p, grid, opts) for each kind of path a sweep walks."""
+    if kind == "contour":
+        return curves["ellipse"], paths["ellipse"], saddles["ellipse"].g0, 1.5, [10.0, 40.0, 160.0], QuadOptions()
+    if kind == "trapezoid":
+        return curves["deltoid"], None, saddles["deltoid"].g0, 2.5, [2.0, 10.0, 80.0], QuadOptions()
+    if kind == "panel_gauss":
+        return curves["ellipse"], None, saddles["ellipse"].g0, 1.5, [2.0, 5.0, 10.0], QuadOptions(mode="panel_gauss")
+    return CornerDomain(theta=PI / 5, a1=-1.0, a2=-1.2), None, 0j, 2.0, [10.0, 40.0, 160.0], QuadOptions()
+
+
+@pytest.mark.parametrize("wave_kind", sorted(_WAVES))
+@pytest.mark.parametrize("kind", ["contour", "trapezoid", "panel_gauss", "wedge"])
+def test_lambda_sweep_equals_single_lam_calls(curves, saddles, paths, kind, wave_kind):
+    # one walk serves the whole grid, and each lam gets the rule it gets alone
+    dom, path, g0, p, grid, opts = _sweep_case(kind, curves, saddles, paths)
+    wave = _WAVES[wave_kind]
+    recs = lambda_sweep(dom, wave, 2.0, grid, p, g0, path, opts)
+    if kind in ("contour", "trapezoid"):
+        # rows that stop refining at different depths or doublings
+        assert len({r.nodes_used for r in recs}) > 1
+    for r in recs:
+        alone = boundary_integral_I(dom, wave, 2.0, r.lam, path, replace(opts, g0=g0))
+        assert r.resid == r.lam**p * alone, (kind, wave_kind, r.lam)
+
+
+def _first_failure(dom, wave, grid, path, opts):
+    for lam in grid:
+        try:
+            boundary_integral_I(dom, wave, 2.0, lam, path, opts)
+        except Exception as e:  # whatever a lam-by-lam loop would raise
+            return e
+    return None
+
+
+@pytest.mark.parametrize("kind", ["max_depth", "overflow"])
+def test_failing_sweep_raises_the_first_failing_lam(curves, saddles, paths, kind):
+    # larger lams walk alongside until the first fails, yet the sweep raises
+    # exactly what a lam-by-lam loop raises: the smallest failing lam's error
+    if kind == "max_depth":
+        dom, path, g0 = curves["ellipse"], paths["ellipse"], saddles["ellipse"].g0
+        grid, opts = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0], QuadOptions(tol=1e-13)
+    else:
+        dom, path, g0 = curves["ellipse"], None, 0j
+        grid, opts = [1.0, 100.0, 400.0, 800.0], QuadOptions(mode="panel_gauss")
+    want = _first_failure(dom, PlaneWave(k=1.0, alpha=0.0), grid, path, replace(opts, g0=g0))
+    assert want is not None
+    with pytest.raises(type(want)) as got:
+        lambda_sweep(dom, PlaneWave(k=1.0, alpha=0.0), 2.0, grid, 1.5, g0, path, opts)
+    assert str(got.value) == str(want)
+
+
+def _reachable(roots, skip: set) -> list:
+    """Containers, arrays, closures and nonscatter objects reachable from roots."""
+    seen, stack, out = set(skip), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif type(obj).__module__.startswith("nonscatter") and hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["max_depth", "overflow"])
+def test_failed_sweep_traceback_holds_no_panels(curves, saddles, paths, kind):
+    # an error's traceback keeps its frames alive: they may hold the grid, but
+    # no panel list, tree or node array larger than one Gauss rule
+    dom, wave, grid = curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), [10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+    if kind == "max_depth":
+        path, g0, opts = paths["ellipse"], saddles["ellipse"].g0, QuadOptions(tol=1e-13)
+    else:
+        path, g0, opts = None, 0j, QuadOptions()
+    with pytest.raises((QuadratureNotConverged, OverflowRisk)) as info:
+        lambda_sweep(dom, wave, 2.0, grid, 1.5, g0, path, opts)
+    frames = []
+    tb = info.value.__traceback__.tb_next  # past this test's own frame
+    while tb is not None:
+        frames.append(tb.tb_frame)
+        tb = tb.tb_next
+    assert frames
+    inputs = {id(x) for x in _reachable([dom, wave, grid, path, g0, opts], set())}
+    held = _reachable([v for f in frames for v in f.f_locals.values()], inputs)
+    arrays = [x for x in held if isinstance(x, np.ndarray)]
+    assert all(a.size <= 64 for a in arrays), sorted(a.size for a in arrays)
+    containers = [x for x in held if isinstance(x, (list, dict, tuple))]
+    assert all(len(x) <= len(grid) for x in containers), sorted(len(x) for x in containers)
