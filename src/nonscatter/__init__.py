@@ -41,7 +41,6 @@ from .quad import (
     SweepRecord,
     area_integral_oracle,
     boundary_integral_I,
-    boundary_integral_I_byparts,
     fit_decay,
     lambda_sweep,
     sweep_to_csv,

@@ -89,21 +89,21 @@ def _ring_coeffs(vals: np.ndarray, r: float, orders: int) -> np.ndarray:
     return np.array([co[m] / r**m for m in range(orders)])
 
 
-def f_jet(curve: TrigCurve, wave, q: float, s: SaddlePoint, r_cauchy: float = R_CAUCHY) -> FJet:
+def f_jet(curve: TrigCurve, wave, q: float, s: SaddlePoint) -> FJet:
     """Jet of f at the saddle by Cauchy-integral differentiation on a 64-node ring."""
     if not s.simple:
         raise ValueError("f_jet needs a simple saddle")
     k = wave.k
     theta = 2.0 * math.pi * np.arange(N_RING) / N_RING
-    ts = s.t0 + r_cauchy * np.exp(1j * theta)
+    ts = s.t0 + R_CAUCHY * np.exp(1j * theta)
     jets = eval_jets(curve, ts, order=1)
     x1, x2 = jets[0]
     x1p, x2p = jets[1]
     sample = _waves.sample(wave, (x1, x2))
     fv = 0.5 * k * k * q * (x2p + 1j * x1p) * sample.v
     wv = 1j * sample.V[0] + sample.V[1]
-    cf = _ring_coeffs(fv, r_cauchy, 3)
-    cw = _ring_coeffs(wv, r_cauchy, 4)
+    cf = _ring_coeffs(fv, R_CAUCHY, 3)
+    cw = _ring_coeffs(wv, R_CAUCHY, 4)
     return FJet(
         f0=complex(cf[0] + cw[1]),
         f1=complex(cf[1] + 2.0 * cw[2]),

@@ -191,9 +191,10 @@ def _decode_g0(v):
 
 
 def _decode_quad(qd) -> QuadOptions:
-    return QuadOptions(
-        mode=qd.get("mode", "periodic_trapezoid"), nodes=_integer(qd.get("nodes", 32)), tol=float(qd.get("tol", 1e-10))
-    )
+    unknown = sorted(set(qd) - {"nodes", "tol"})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; quad takes nodes and tol")
+    return QuadOptions(nodes=_integer(qd.get("nodes", 32)), tol=float(qd.get("tol", 1e-10)))
 
 
 def _decode_levelset(ls) -> tuple:
@@ -263,7 +264,7 @@ def serialize_scenario(s: Scenario) -> dict:
         cfg["p"] = s.p_power
     if s.g0 != "zero":
         cfg["g0"] = s.g0 if s.g0 == "saddle" else _pair(s.g0)
-    cfg["quad"] = {"mode": s.quad.mode, "nodes": s.quad.nodes, "tol": s.quad.tol}
+    cfg["quad"] = {"nodes": s.quad.nodes, "tol": s.quad.tol}
     if s.contour:
         cfg["contour"] = True
     if s.levelset != _DEFAULT_LEVELSET:

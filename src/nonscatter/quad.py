@@ -40,34 +40,27 @@ __all__ = [
     "SweepRecord",
     "FitResult",
     "boundary_integral_I",
-    "boundary_integral_I_byparts",
     "area_integral_oracle",
     "lambda_sweep",
     "fit_decay",
     "sweep_to_csv",
 ]
 
-_MODES = ("periodic_trapezoid", "panel_gauss")
 _EXP_CAP = 700.0
 _MAX_TRAP = 1 << 17
 _MAX_DEPTH = 14
-_RING_N = 32
-_RING_R = 0.05
-# points per wave call in the area oracle and the W' ring: 64 radii (or 32 ring
-# points) times a 131072-node trapezoid would otherwise take gigabytes
+# points per wave call in the area oracle: 64 radii times a 131072-node
+# trapezoid would otherwise take gigabytes
 _BLOCK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
 class QuadOptions:
-    mode: str = "periodic_trapezoid"
     nodes: int = 32
     tol: float = 1e-10
     g0: complex | None = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 8 <= self.nodes <= 4096:
             raise ValueError(f"nodes must lie in [8, 4096], got {self.nodes}")
         if not 1e-14 <= self.tol <= 1e-4:
@@ -123,17 +116,13 @@ def _corner_nodes(slope: float, wave):
     return data
 
 
-def _exponent(lam, lt, g, x2, g0: complex):
-    return lam * (g - g0) + 1j * lt * np.asarray(x2, dtype=complex)
-
-
 def _lam_rows(data, lams: np.ndarray, lts: np.ndarray, g0: complex):
     """A walk step: (nodes, rows) -> (prefactor, exponent), each of shape (rows, nodes)."""
 
     def step(ts: np.ndarray, rows: np.ndarray):
         x2, g, gp, x1p, v, A = data(ts)
         lam, lt = lams[rows, None], lts[rows, None]
-        return A + 1j * lam * gp * v + 1j * lt * x1p * v, _exponent(lam, lt, g, x2, g0)
+        return A + 1j * lam * gp * v + 1j * lt * x1p * v, lam * (g - g0) + 1j * lt * np.asarray(x2, dtype=complex)
 
     return step
 
@@ -296,8 +285,7 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams) -> list:
             a, b = path
             if abs(a + math.pi) > 1e-12 or abs(b - math.pi) > 1e-12:
                 raise ValueError("real-interval path must be the full period (-pi, pi)")
-        ends = None if opts.mode != "panel_gauss" else list(np.linspace(-math.pi, math.pi, 9))
-        legs = [(1, ends, _curve_nodes(domain, wave))]
+        legs = [(1, None, _curve_nodes(domain, wave))]
 
     walk = _Walk()
     lts = []
@@ -338,59 +326,6 @@ def boundary_integral_I(domain, wave, q: float, lam: float, path=None, opts: Qua
     return val
 
 
-def _one(walk: _Walk, got: dict) -> complex:
-    if walk.error is not None:
-        raise walk.error
-    return got[0][0]
-
-
-def _in_blocks(fn, ts: np.ndarray, points_per_node: int) -> np.ndarray:
-    step = max(1, _BLOCK_POINTS // points_per_node)
-    return np.concatenate([fn(ts[i : i + step]) for i in range(0, len(ts), step)])
-
-
-def _w_prime_ring(wave, curve: TrigCurve, ts: np.ndarray) -> np.ndarray:
-    """d/dt [i V1 + V2] by Cauchy differentiation on a small ring at each node."""
-    theta = 2.0 * math.pi * np.arange(_RING_N) / _RING_N
-    ring = _RING_R * np.exp(1j * theta)
-
-    def block(ts: np.ndarray) -> np.ndarray:
-        zs = np.asarray(ts, dtype=complex)[:, None] + ring
-        x1, x2 = eval_jets(curve, zs.ravel(), order=0)[0]
-        V1, V2 = _waves.gradient(wave, (x1, x2))
-        wv = (1j * V1 + V2).reshape(zs.shape)
-        return (wv * np.exp(-1j * theta)).mean(axis=1) / _RING_R
-
-    return _in_blocks(block, ts, _RING_N)
-
-
-def boundary_integral_I_byparts(curve: TrigCurve, wave, q: float, lam: float, path=None, opts: QuadOptions | None = None) -> complex:
-    """lam I(lam) in the integrated-by-parts form
-    int [lam lt (x2' + i x1') v + W' + i lt x2' W] e^(lam g + i lt x2) dt, W = i V1 + V2."""
-    if not isinstance(curve, TrigCurve):
-        raise TypeError("integration by parts needs a closed curve")
-    opts = opts or QuadOptions()
-    p = SpectralParams(k=wave.k, q=q, lam=lam)
-    g0 = complex(opts.g0) if opts.g0 is not None else 0.0 + 0.0j
-    lt = lambda_tilde(p)
-
-    def step(ts: np.ndarray, rows: np.ndarray):
-        jets = eval_jets(curve, ts, order=1)
-        x1, x2 = jets[0]
-        x1p, x2p = jets[1]
-        s = _waves.sample(wave, (x1, x2))
-        V1, V2 = s.V
-        w = 1j * V1 + V2
-        wp = _w_prime_ring(wave, curve, ts)
-        pre = p.lam * lt * (x2p + 1j * x1p) * s.v + wp + 1j * lt * x2p * w
-        return pre[None, :], _exponent(p.lam, lt, x1 + 1j * x2, x2, g0)[None, :]
-
-    walk = _Walk()
-    if isinstance(path, ContourPath):
-        return _one(walk, walk.chain(step, list(path.waypoints), min(max(opts.nodes, 16), 64), opts.tol, np.arange(1)))
-    return _one(walk, walk.trapezoid(step, opts.tol, max(opts.nodes, 64), np.arange(1)))
-
-
 def area_integral_oracle(curve: TrigCurve, wave, q: float, lam: float, opts: QuadOptions | None = None) -> complex:
     """Area integral of u e^(i x . xi) over the region via (s,t) -> s x(t).
 
@@ -427,9 +362,16 @@ def area_integral_oracle(curve: TrigCurve, wave, q: float, lam: float, opts: Qua
         acc = ((sw * su)[:, None] * u * np.exp(p.lam * y1 + 1j * xi2 * y2)).sum(axis=0)
         return acc * j0
 
+    per_call = _BLOCK_POINTS // len(su)
+
+    def step(ts: np.ndarray, rows: np.ndarray):
+        return np.concatenate([block(ts[i : i + per_call]) for i in range(0, len(ts), per_call)])[None, :], None
+
     walk = _Walk()
-    got = walk.trapezoid(lambda ts, rows: (_in_blocks(block, ts, len(su))[None, :], None), opts.tol, max(opts.nodes, 128), np.arange(1))
-    return _one(walk, got)
+    got = walk.trapezoid(step, opts.tol, max(opts.nodes, 128), np.arange(1))
+    if walk.error is not None:
+        raise walk.error
+    return got[0][0]
 
 
 def lambda_sweep(domain, wave, q: float, lam_grid, p_power: float, g0: complex, path=None, opts: QuadOptions | None = None) -> list[SweepRecord]:

@@ -41,6 +41,8 @@ __all__ = [
 SIMPLE_REL = 1e-8
 RESIDUAL_REL = 1e-10
 _S_WINDOW = 3.5  # |Im t| of the roots find_saddles polishes; its rect keeps |Im t| <= 3
+_RHO = 0.1  # radius of the saddle disc, inside which contours need not clear the margin
+_SAMPLES = 2048  # points at which a finished contour is checked
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,6 @@ class ContourPath:
         """Direction of motion into the saddle from the preceding waypoint."""
         return cmath.phase(self.t0 - self.waypoints[self.i_saddle - 1])
 
-    def departure_angle(self) -> float:
-        return self.omega
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -129,15 +128,10 @@ class ValidationReport:
     n_samples: int
 
 
-def _gp_scale(curve: TrigCurve) -> float:
+def _scale(curve: TrigCurve, d: int) -> float:
+    """Bound on |d-th derivative of g| on the real axis: sum of m^d times the coefficients."""
     m = np.arange(len(curve.a1), dtype=float)
-    tot = m * (np.abs(curve.a1) + np.abs(curve.b1) + np.abs(curve.a2) + np.abs(curve.b2))
-    return float(max(tot.sum(), 1e-300))
-
-
-def _gpp_scale(curve: TrigCurve) -> float:
-    m = np.arange(len(curve.a1), dtype=float)
-    tot = m * m * (np.abs(curve.a1) + np.abs(curve.b1) + np.abs(curve.a2) + np.abs(curve.b2))
+    tot = m**d * (np.abs(curve.a1) + np.abs(curve.b1) + np.abs(curve.a2) + np.abs(curve.b2))
     return float(max(tot.sum(), 1e-300))
 
 
@@ -214,8 +208,8 @@ def find_saddles(curve: TrigCurve, rect=None) -> list[SaddlePoint]:
     (r_lo, r_hi), (s_lo, s_hi) = rect
     if max(abs(s_lo), abs(s_hi)) > 3.0:
         raise ValueError("search rectangle must stay within |Im t| <= 3")
-    scale_p = _gp_scale(curve)
-    scale_pp = _gpp_scale(curve)
+    scale_p = _scale(curve, 1)
+    scale_pp = _scale(curve, 2)
 
     p = _gp_poly(curve)
     eps = np.finfo(float).eps
@@ -383,8 +377,12 @@ def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = 481, ns
     if rect is None:
         rect = ((-math.pi, math.pi), (-0.2, 2.5))
     (r_lo, r_hi), (s_lo, s_hi) = rect
+    if not (r_lo < r_hi and s_lo < s_hi):
+        raise ValueError(f"level-set rect must have r_lo < r_hi and s_lo < s_hi, got {rect}")
     if nr < 400 or ns < 300:
         raise ValueError("grid resolution must be at least 400 x 300")
+    if nr > 4096 or ns > 4096:
+        raise ValueError(f"grid resolution must be at most 4096 x 4096, got {nr} x {ns}")
     r = np.linspace(r_lo, r_hi, nr)
     s = np.linspace(s_lo, s_hi, ns)
     # Re[A cos m(r+is) + B sin m(r+is)] = cosh ms (a1 cos mr + b1 sin mr)
@@ -512,7 +510,7 @@ def _components(mask: np.ndarray):
     return connected
 
 
-def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: float | None = None, rho: float = 0.1) -> ContourPath:
+def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> ContourPath:
     """Admissible polyline -pi -> pi through sp.t0 inside the sampled descent region.
 
     The saddle is bridged by short straight probes along the two directions
@@ -534,16 +532,16 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     end_excess = float(_re_g_many(curve, [math.pi + 0j])[0]) - re_g0
     if end_excess >= 0:
         raise EndpointAboveLevel(f"Re g(pi) - Re g(t0) = {end_excess:.3g} >= 0")
-    if delta is None:
-        delta = 1e-3 * abs(0.0 - float(grid.values.min()))
+    # the margin the path must clear outside the saddle disc
+    delta = 1e-3 * abs(float(grid.values.min()))
     if end_excess > -delta:
         raise NoAdmissiblePath("endpoint sits inside the margin band")
 
     def _finish(waypoints, omega, i_saddle):
         # stored margin = what the path actually achieves, capped by the target
-        ts = _resample(waypoints, 2048)
+        ts = _resample(waypoints, _SAMPLES)
         exc = _re_g_many(curve, ts) - re_g0
-        outside = np.abs(ts - t0) > rho
+        outside = np.abs(ts - t0) > _RHO
         worst = float(exc[outside].max())
         if worst >= 0.0:
             raise NoAdmissiblePath(f"constructed path re-ascends to excess {worst:.3g}")
@@ -558,7 +556,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     if abs(t0.imag) <= 1e-9:
         ts = np.linspace(-math.pi, math.pi, 2048)
         exc = _re_g_many(curve, ts) - re_g0
-        outside = np.abs(ts - t0.real) > rho
+        outside = np.abs(ts - t0.real) > _RHO
         tiny = 1e-12 * max(1.0, abs(re_g0))
         if float(exc[outside].max()) < 0.0 and (exc[~outside] <= tiny).all():
             return _finish(
@@ -571,7 +569,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     ds = s[1] - s[0]
     h = max(dr, ds)
     tt = r[None, :] + 1j * s[:, None]
-    mask = (values <= -delta) & (np.abs(tt - t0) > rho)
+    mask = (values <= -delta) & (np.abs(tt - t0) > _RHO)
 
     def node_of(t: complex):
         j = int(round((t.real - r[0]) / dr))
@@ -600,8 +598,8 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     connected = _components(mask)
 
     def probe(phi: float):
-        length = rho + 1.5 * h
-        cap = max(4.0 * rho, 0.5)
+        length = _RHO + 1.5 * h
+        cap = max(4.0 * _RHO, 0.5)
         while length <= cap:
             p = t0 + length * cmath.exp(1j * phi)
             node = node_of(p)
@@ -635,13 +633,13 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     def first_clear(a: complex, ends) -> int | None:
         """Index of the first b in ends whose chord from a is clear, or None.
 
-        A chord is clear when its samples keep out of the 0.98 rho disc and
+        A chord is clear when its samples keep out of the 0.98 _RHO disc and
         have Re g - Re g(t0) <= -0.999 delta.  Most chords fail somewhere along
         their length, so every 8th sample of all of them goes first, in one
         batch; then the survivors are checked in full, in order.
         """
         segs = [a + (b - a) * np.linspace(0.0, 1.0, int(abs(b - a) / h) * 2 + 3) for b in ends]
-        keep = [k for k, seg in enumerate(segs) if not (np.abs(seg - t0) < 0.98 * rho).any()]
+        keep = [k for k, seg in enumerate(segs) if not (np.abs(seg - t0) < 0.98 * _RHO).any()]
         if not keep:
             return None
         sparse = [segs[k][::8] for k in keep]
@@ -683,20 +681,19 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid, delta: 
     return _finish(waypoints, float(math.remainder(exit_phi, 2.0 * math.pi)), len(leg_in))
 
 
-def validate_contour(curve: TrigCurve, path: ContourPath, delta: float | None = None, rho: float = 0.1, n_samples: int = 2048) -> ValidationReport:
-    """Sample the polyline; outside the rho-disc Re g - Re g(t0) must stay <= -delta,
+def validate_contour(curve: TrigCurve, path: ContourPath) -> ValidationReport:
+    """Sample the polyline; outside the _RHO disc Re g - Re g(t0) must stay <= -path.margin,
     inside it must decay at least a fixed fraction of the quadratic rate."""
-    if delta is None:
-        delta = path.margin
+    delta = path.margin
     t0 = path.t0
     g0, _, g2 = g_jet(curve, t0, order=2)
     re_g0 = g0.real
 
-    ts = _resample(path.waypoints, n_samples)
+    ts = _resample(path.waypoints, _SAMPLES)
     exc = _re_g_many(curve, ts) - re_g0
     dist = np.abs(ts - t0)
 
-    outside = dist > rho
+    outside = dist > _RHO
     if outside.any():
         i_worst = np.argmax(np.where(outside, exc, -np.inf))
         max_excess = float(exc[i_worst])
@@ -710,7 +707,7 @@ def validate_contour(curve: TrigCurve, path: ContourPath, delta: float | None = 
         i_worst = int(np.argmax(exc))
         max_excess = float(exc[i_worst])
 
-    inside = (~outside) & (dist > 1e-3 * rho)
+    inside = (~outside) & (dist > 1e-3 * _RHO)
     if inside.any():
         bound = -0.05 * abs(g2) * dist[inside] ** 2
         bad = exc[inside] > bound + 1e-12 * max(1.0, abs(re_g0))
@@ -725,7 +722,7 @@ def validate_contour(curve: TrigCurve, path: ContourPath, delta: float | None = 
         max_excess=max_excess,
         worst_t=complex(ts[i_worst]),
         delta=delta,
-        rho=rho,
+        rho=_RHO,
         n_samples=len(ts),
     )
 

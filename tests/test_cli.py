@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ from nonscatter.cli import main, parse_scenario, serialize_scenario
 from nonscatter.errors import ConfigError
 from nonscatter.waves import HerglotzTrunc
 
-SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCENARIOS = os.path.join(ROOT, "scenarios")
 
 ELLIPSE = {"builtin": "ellipse", "params": [2, 1]}
 PLANE0 = {"kind": "plane", "alpha": 0.0}
@@ -43,7 +45,7 @@ def test_scenario_round_trip():
         "lambda_grid": [1.0, 2.0, 4.0],
         "p": 2.5,
         "g0": [0.25, -1.0],
-        "quad": {"mode": "panel_gauss", "nodes": 48, "tol": 1e-9},
+        "quad": {"nodes": 48, "tol": 1e-9},
         "contour": True,
         "levelset": {"rect": [[-3.0, 3.0], [0.0, 1.0]], "nr": 101, "ns": 81},
         "disk": {"mode": "compare", "n": 2},
@@ -101,6 +103,7 @@ def test_scenario_validation_errors():
         dict(base, g0="elsewhere"),
         dict(base, lambda_grid=["x"]),
         dict(base, quad={"tol": 1e-20}),
+        dict(base, quad={"mode": "panel_gauss"}),
         dict(base, levelset={"rect": [1, 2]}),
     ] + [dict(base, **cfg) for cfg, _ in FRACTIONS]
     for cfg in bad:
@@ -109,6 +112,8 @@ def test_scenario_validation_errors():
     for cfg, block in FRACTIONS:
         with pytest.raises(ConfigError, match=f"^bad {block}: ValueError"):
             parse_scenario(dict(base, **cfg))
+    with pytest.raises(ConfigError, match="^bad quad: ValueError: unknown keys"):
+        parse_scenario(dict(base, quad={"nodes": 64, "panels": 9}))
     # integral floats still parse
     s = parse_scenario(dict(base, wave={"kind": "harmonic", "n": 2.0}, quad={"nodes": 40.0}))
     assert s.wave.n == 2 and isinstance(s.wave.n, int) and s.quad.nodes == 40
@@ -132,6 +137,31 @@ def test_checked_in_scenarios_round_trip():
             s = parse_scenario(json.load(fh))
         assert s.domain is not None, name
         assert parse_scenario(serialize_scenario(s)) == s, name
+
+
+def _readme_runs() -> list:
+    """(command, scenario file) for each scenario command line in README.md."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return re.findall(r"^ +nonscatter (\w+) +--config scenarios/(\S+\.json)", fh.read(), re.M)
+
+
+_ARTIFACTS = {
+    "analyze": {"report.json"},
+    "sweep": {"sweep.csv", "sweep_fit.json"},
+    "corner": {"corner.csv", "corner.json"},
+    "levelset": {"grid.csv", "level.svg"},
+}
+
+
+def test_readme_runs_every_checked_in_scenario():
+    names = sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".json"))
+    assert sorted({name for _, name in _readme_runs()}) == names
+
+
+@pytest.mark.parametrize("command,name", _readme_runs())
+def test_checked_in_scenario_runs(tmp_path, command, name):
+    assert main([command, "--config", os.path.join(SCENARIOS, name), "--out", str(tmp_path)]) == 0
+    assert set(os.listdir(tmp_path)) == _ARTIFACTS[command]
 
 
 def test_analyze_ellipse(tmp_path):
@@ -362,6 +392,19 @@ def test_bad_config_exit_codes(tmp_path):
     # wrong domain type for the command
     rc2, _ = run(tmp_path, "corner", {"version": 1, "k": 1.0, "q": 2.0, "domain": ELLIPSE, "wave": PLANE0}, out="o3")
     assert rc2 == 2
+
+
+def test_bad_levelset_grid_exits_2_without_artifacts(tmp_path, capsys):
+    # an empty rect once escaped build_contour as OverflowError, and a huge grid
+    # as a failed allocation of terabytes
+    base = {"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": PLANE0}
+    flat = {"rect": [[-3.2, 3.2], [0.5, 0.5]]}
+    cases = [("levelset", {"nr": 10**6, "ns": 10**6}), ("analyze", {"ns": 4097}), ("analyze", flat), ("levelset", flat)]
+    for i, (command, ls) in enumerate(cases):
+        rc, out = run(tmp_path, command, dict(base, levelset=ls), out=f"o{i}")
+        assert rc == 2, (command, ls)
+        assert not os.listdir(out), (command, ls)
+    assert capsys.readouterr().err.count("config error: ") == len(cases)
 
 
 def test_numerical_failure_exit_code(tmp_path):

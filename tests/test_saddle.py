@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -388,6 +389,24 @@ def test_level_region_matches_eval_jets(curves, saddles, grids):
 def test_level_region_requires_resolution(curves, saddles):
     with pytest.raises(ValueError):
         level_region(curves["ellipse"], saddles["ellipse"], nr=100, ns=100)
+
+
+def test_level_region_rejects_empty_rect_and_oversized_grid(curves, saddles):
+    cv, sp = curves["ellipse"], saddles["ellipse"]
+    for rect in (((-PI, PI), (0.5, 0.5)), ((1.0, -1.0), (-0.2, 2.5)), ((-PI, PI), (math.nan, 2.5))):
+        with pytest.raises(ValueError, match="rect"):
+            level_region(cv, sp, rect=rect)
+    # the cap is checked before any array is made
+    tracemalloc.start()
+    try:
+        for nr, ns in ((10**9, 361), (481, 10**9), (4097, 300)):
+            with pytest.raises(ValueError, match="4096"):
+                level_region(cv, sp, nr=nr, ns=ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert level_region(cv, sp, nr=4096, ns=300).values.shape == (300, 4096)
 
 
 def test_ellipse_zero_level_crosses_real_axis_at_closed_form(grids):
