@@ -121,13 +121,24 @@ def _optional(decode):
     return lambda v: None if v is None else decode(v)
 
 
+def _known(d, *keys: str) -> None:
+    """Reject the keys of block d outside keys: a misspelled key would silently take its default."""
+    unknown = sorted(str(key) for key in set(d) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; expected {', '.join(keys)}")
+
+
 def _decode_domain(d) -> TrigCurve | CornerDomain:
     if "builtin" in d:
+        _known(d, "builtin", "params")
         return builtin(str(d["builtin"]), *_reals(d.get("params", ())))
     if "corner" in d:
+        _known(d, "corner")
         c = d["corner"]
+        _known(c, "theta", "a1", "a2")
         return CornerDomain(theta=_real(c["theta"]), a1=_real(c["a1"]), a2=_real(c["a2"]))
     if "a1" in d:
+        _known(d, "a1", "b1", "a2", "b2")
         return TrigCurve(
             a1=_reals(d["a1"]), b1=_reals(d.get("b1", ())), a2=_reals(d["a2"]), b2=_reals(d.get("b2", ()))
         )
@@ -143,15 +154,19 @@ def _encode_domain(dom: TrigCurve | CornerDomain) -> dict:
 def _decode_wave(w, k: float) -> WaveModel:
     kind = w["kind"]
     if kind == "plane":
+        _known(w, "kind", "alpha")
         return PlaneWave(k=k, alpha=_real(w.get("alpha", 0.0)))
     if kind == "plane_combo":
+        _known(w, "kind", "terms")
         terms = tuple((_complex(c), _real(alpha)) for c, alpha in w["terms"])
         if not terms:
             raise ValueError("plane_combo needs at least one term")
         return PlaneCombo(k=k, terms=terms)
     if kind == "harmonic":
+        _known(w, "kind", "n")
         return CircularHarmonic(k=k, n=_integer(w["n"]))
     if kind == "herglotz":
+        _known(w, "kind", "psi")
         psi = tuple((int(n), _complex(c)) for n, c in w["psi"].items())
         if not psi:
             raise ValueError("herglotz needs a nonempty psi table")
@@ -172,10 +187,13 @@ def _encode_wave(w: WaveModel) -> dict:
 def _decode_disk(d) -> DiskMode:
     mode = d["mode"]
     if mode == "roots":
+        _known(d, "mode", "n", "k_max")
         return DiskMode(mode, n=_integer(d["n"]), k_max=_real(d["k_max"]))
     if mode == "compare" and "alpha" in d:
+        _known(d, "mode", "alpha")
         return DiskMode(mode, alpha=_real(d["alpha"]))
     if mode in ("compare", "wronskian"):
+        _known(d, "mode", "n")
         return DiskMode(mode, n=_integer(d["n"]))
     raise ValueError(f"unknown disk mode {mode!r}")
 
@@ -191,13 +209,12 @@ def _decode_g0(v):
 
 
 def _decode_quad(qd) -> QuadOptions:
-    unknown = sorted(set(qd) - {"nodes", "tol"})
-    if unknown:
-        raise ValueError(f"unknown keys {unknown}; quad takes nodes and tol")
+    _known(qd, "nodes", "tol")
     return QuadOptions(nodes=_integer(qd.get("nodes", 32)), tol=float(qd.get("tol", 1e-10)))
 
 
 def _decode_levelset(ls) -> tuple:
+    _known(ls, "rect", "nr", "ns")
     rect = ls.get("rect")
     if rect is not None:
         (r_lo, r_hi), (s_lo, s_hi) = rect
@@ -206,6 +223,7 @@ def _decode_levelset(ls) -> tuple:
 
 
 _REQUIRED = object()
+_TOP_KEYS = ("version", "k", "q", "domain", "wave", "lambda_grid", "p", "g0", "quad", "contour", "levelset", "disk", "out")
 
 
 def _block(cfg: dict, key: str, decode, default=_REQUIRED):
@@ -223,6 +241,10 @@ def _block(cfg: dict, key: str, decode, default=_REQUIRED):
 def parse_scenario(cfg: dict) -> Scenario:
     if not isinstance(cfg, dict):
         raise ConfigError("scenario must be a JSON object")
+    try:
+        _known(cfg, *_TOP_KEYS)
+    except ValueError as e:
+        raise ConfigError(f"bad config: {e}") from e
     if cfg.get("version") != 1:
         raise ConfigError("config version must be 1")
     k = _block(cfg, "k", _real)

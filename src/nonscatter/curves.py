@@ -81,9 +81,10 @@ def _chords_cross(x, y) -> bool:
 
     Chords are grouped in blocks of consecutive samples.  Two chords can cross
     only where their bounding boxes meet, so the strict predicate runs only on
-    block pairs whose boxes overlap, 2^18 chord pairs at a time to bound memory.
+    block pairs whose boxes overlap, 2^13 chord pairs at a time, so that each
+    temporary stays below 128 KiB and is reused rather than page-faulted in.
     """
-    n, block = len(x), 16
+    n, block = len(x), 8
     px, py = x, y
     qx, qy = np.roll(x, -1), np.roll(y, -1)
     rx, ry = qx - px, qy - py
@@ -99,7 +100,7 @@ def _chords_cross(x, y) -> bool:
     # the predicate is symmetric in the two chords, so j >= i suffices
     bi, bj = np.nonzero(np.triu(meet))
     offs = np.arange(block)
-    chunk = max(1, 2**18 // block**2)
+    chunk = max(1, 2**13 // block**2)
     for c0 in range(0, len(bi), chunk):
         i = np.minimum(starts[bi[c0:c0 + chunk], None] + offs, n - 1)[:, :, None]
         j = np.minimum(starts[bj[c0:c0 + chunk], None] + offs, n - 1)[:, None, :]

@@ -393,8 +393,11 @@ def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = 481, ns
     cos_mr, sin_mr = np.cos(mr), np.sin(mr)
     even = np.asarray(curve.a1)[:, None] * cos_mr + np.asarray(curve.b1)[:, None] * sin_mr
     odd = np.asarray(curve.a2)[:, None] * sin_mr - np.asarray(curve.b2)[:, None] * cos_mr
-    re_g = np.cosh(ms) @ even + np.sinh(ms) @ odd
-    return LevelSetGrid(r=r, s=s, values=re_g - sp.g0.real, t0=sp.t0)
+    # summed and shifted in place: two more grid-sized temporaries would page-fault on every call
+    re_g = np.cosh(ms) @ even
+    re_g += np.sinh(ms) @ odd
+    re_g -= sp.g0.real
+    return LevelSetGrid(r=r, s=s, values=re_g, t0=sp.t0)
 
 
 def _re_g_many(curve: TrigCurve, ts) -> np.ndarray:
@@ -414,65 +417,62 @@ def _resample(waypoints, n: int) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def _bfs(mask: np.ndarray, source, target=None) -> np.ndarray:
-    """Parent field of a breadth-first search over the True cells of mask.
+def _bfs_path(mask: np.ndarray, source, target) -> list | None:
+    """Cells (i, j) of the shortest path source -> target over the True cells
+    of mask, least in step order; None when target is not reached.
 
     Steps go up, down, left, right: (i-1, j), (i+1, j), (i, j-1), (i, j+1).
-    The search runs one level at a time.  A cell reached from several frontier
-    cells keeps the first in frontier order x step order, so each parent and
-    each new frontier's order are the ones a FIFO queue search assigns.
-    Returns the flat index into mask of every cell's parent: the source is its
-    own parent and -1 marks cells not reached.  With a target, the search stops
-    after the level that reaches it.
+    A FIFO queue search from source finds this path: each of its levels holds
+    the cells in the lexicographic order of their step sequences, so a cell's
+    parent is the one on its least shortest path.  Distances to target grow
+    one level at a time until they reach source; the walk from source then
+    takes at each cell the first step that lowers the distance.  The source
+    counts as open (a queue search expands it either way).
     """
+    if source == target:
+        return [source]
     ns, nr = mask.shape
     w = nr + 2  # a closed one-cell border keeps flat steps inside the grid
-    open_ = np.zeros((ns + 2, w), dtype=bool)
-    open_[1:-1, 1:-1] = mask
-    open_ = open_.ravel()
-    parent = np.full(open_.size, -1, dtype=np.intp)
+    free = np.zeros((ns + 2, w), dtype=bool)
+    free[1:-1, 1:-1] = mask
+    free = free.ravel()
     src = (source[0] + 1) * w + source[1] + 1
-    tgt = None if target is None else (target[0] + 1) * w + target[1] + 1
-    parent[src] = src
-    steps = np.array([-w, w, -1, 1])
-    frontier = np.array([src])
-    # first[c]: position of cell c's first occurrence among the candidates
-    none = np.iinfo(np.intp).max
-    first = np.full(open_.size, none, dtype=np.intp)
-    while frontier.size and (tgt is None or parent[tgt] < 0):
-        cand = (frontier[:, None] + steps).ravel()
-        pos = np.flatnonzero(open_[cand] & (parent[cand] < 0))
-        cells = cand[pos]
-        k = np.arange(cells.size)
-        np.minimum.at(first, cells, k)
-        pos = pos[first[cells] == k]
-        first[cells] = none
-        parent[cand[pos]] = frontier[pos // 4]
-        frontier = cand[pos]
-    parent = parent.reshape(ns + 2, w)[1:-1, 1:-1]
-    return np.where(parent >= 0, (parent // w - 1) * nr + parent % w - 1, -1)
-
-
-def _bfs_path(parent: np.ndarray, target) -> list | None:
-    """Cells (i, j) from the source of a _bfs field to target; None if unreached."""
-    nr = parent.shape[1]
-    flat = parent.ravel()
-    k = target[0] * nr + target[1]
-    if flat[k] < 0:
+    tgt = (target[0] + 1) * w + target[1] + 1
+    if not free[tgt]:
         return None
-    out = [k]
-    while flat[k] != k:
-        k = int(flat[k])
-        out.append(k)
-    return [divmod(k, nr) for k in reversed(out)]
+    free[src] = True
+    free[tgt] = False
+    dist = np.full(free.size, -1, dtype=np.int32)
+    dist[tgt] = 0
+    # stamp[c] == k marks cand[k] as the last copy of cell c among the candidates
+    stamp = np.empty(free.size, dtype=np.int32)
+    steps = np.array([-w, w, -1, 1])
+    frontier = np.array([tgt])
+    level = 0
+    while dist[src] < 0:
+        cand = (frontier[:, None] + steps).ravel()
+        cand = cand[free[cand]]
+        if not cand.size:
+            return None
+        k = np.arange(cand.size, dtype=np.int32)
+        stamp[cand] = k
+        frontier = cand[stamp[cand] == k]
+        free[frontier] = False
+        level += 1
+        dist[frontier] = level
+    out = [src]
+    for d in range(level - 1, -1, -1):
+        here = out[-1]
+        out.append(next(c for c in (here - w, here + w, here - 1, here + 1) if dist[c] == d))
+    return [(c // w - 1, c % w - 1) for c in out]
 
 
 def _components(mask: np.ndarray):
     """connected(a, b): whether True cells a and b of mask lie in one 4-connected component.
 
     Each row of mask splits into runs of True cells, and a union-find joins
-    the runs of adjacent rows that share a column.  _bfs from a True cell a
-    reaches b exactly when connected(a, b).
+    the runs of adjacent rows that share a column.  _bfs_path(mask, a, b)
+    finds a path exactly when connected(a, b).
     """
     ns, nr = mask.shape
     w = nr + 1
@@ -522,8 +522,8 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
     its exit cell and the cell next to pi, lie in one component of the
     descent cells (_components).  Each leg is then the straight chord between
     its ends when Re g stays below the margin along it; otherwise the
-    breadth-first cell path between them, stopped at its target, is smoothed
-    into the longest such chords.
+    shortest cell path between them (_bfs_path) is smoothed into the longest
+    such chords.
     """
     if not sp.simple:
         raise ValueError("build_contour needs a simple saddle")
@@ -568,8 +568,13 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
     dr = r[1] - r[0]
     ds = s[1] - s[0]
     h = max(dr, ds)
-    tt = r[None, :] + 1j * s[:, None]
-    mask = (values <= -delta) & (np.abs(tt - t0) > _RHO)
+    mask = values <= -delta
+    # cells in the saddle disc are closed; only those in its index box, padded by one cell, can lie in it
+    i0, i1 = np.searchsorted(s, [t0.imag - _RHO, t0.imag + _RHO]) + (-1, 1)
+    j0, j1 = np.searchsorted(r, [t0.real - _RHO, t0.real + _RHO]) + (-1, 1)
+    i0, j0 = max(i0, 0), max(j0, 0)
+    tt = r[None, j0:j1] + 1j * s[i0:i1, None]
+    mask[i0:i1, j0:j1] &= np.abs(tt - t0) > _RHO
 
     def node_of(t: complex):
         j = int(round((t.real - r[0]) / dr))
@@ -634,26 +639,36 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
         """Index of the first b in ends whose chord from a is clear, or None.
 
         A chord is clear when its samples keep out of the 0.98 _RHO disc and
-        have Re g - Re g(t0) <= -0.999 delta.  Most chords fail somewhere along
-        their length, so every 8th sample of all of them goes first, in one
-        batch; then the survivors are checked in full, in order.
+        have Re g - Re g(t0) <= -0.999 delta.  The chords are sampled as one
+        array, each at the points np.linspace(0, 1, n) puts on it.  Most fail
+        somewhere along their length, so every 8th sample of all of them goes
+        first, in one batch; then the survivors are checked in full, in order.
         """
-        segs = [a + (b - a) * np.linspace(0.0, 1.0, int(abs(b - a) / h) * 2 + 3) for b in ends]
-        keep = [k for k, seg in enumerate(segs) if not (np.abs(seg - t0) < 0.98 * _RHO).any()]
-        if not keep:
+        n = np.array([int(abs(b - a) / h) * 2 + 3 for b in ends])
+        stop = np.cumsum(n)
+        start = stop - n
+        k = np.arange(stop[-1]) - np.repeat(start, n)
+        y = k * np.repeat(1.0 / (n - 1), n)
+        y[stop - 1] = 1.0
+        seg = a + np.repeat(np.array(ends, dtype=complex) - a, n) * y
+        near = np.logical_or.reduceat(np.abs(seg - t0) < 0.98 * _RHO, start)
+        if near.all():
             return None
-        sparse = [segs[k][::8] for k in keep]
-        ok = _re_g_many(curve, np.concatenate(sparse)) - re_g0 <= -0.999 * delta
-        for k, part in zip(keep, np.split(ok, np.cumsum([len(x) for x in sparse])[:-1])):
-            if part.all() and (_re_g_many(curve, segs[k]) - re_g0 <= -0.999 * delta).all():
-                return k
+        ok = ~near
+        sparse = (k % 8 == 0) & np.repeat(ok, n)
+        m = (n[ok] + 7) // 8  # samples 0, 8, 16, ... of each chord kept
+        below = _re_g_many(curve, seg[sparse]) - re_g0 <= -0.999 * delta
+        ok[ok] = np.logical_and.reduceat(below, np.cumsum(m) - m)
+        for i in np.flatnonzero(ok):
+            if (_re_g_many(curve, seg[start[i]:stop[i]]) - re_g0 <= -0.999 * delta).all():
+                return int(i)
         return None
 
     def leg(a: complex, b: complex, cell_a, cell_b) -> list:
-        """The chord a -> b when it is clear, else the smoothed _bfs cell path between."""
+        """The chord a -> b when it is clear, else the smoothed shortest cell path between."""
         if first_clear(a, [b]) == 0:
             return [a, b]
-        pts = [a] + [complex(r[j], s[i]) for i, j in _bfs_path(_bfs(mask, cell_a, cell_b), cell_b)] + [b]
+        pts = [a] + [complex(r[j], s[i]) for i, j in _bfs_path(mask, cell_a, cell_b)] + [b]
 
         def farthest(i: int, j: int) -> int:
             # the largest index <= j whose chord from pts[i] is clear, tried in

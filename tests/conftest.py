@@ -29,6 +29,42 @@ _SEEDED = {
     "deltoid-1": ("deltoid", 1.059),
 }
 
+# curves of the 400-curve fuzz sample (ROADMAP: random.Random(12345)) whose
+# contour legs leave the straight chord for the shortest cell path, each on
+# its own descent mask: (a1, b1, a2, b2)
+_FUZZED = {
+    "fuzz-27": (
+        (0.0, 0.5049393897514949),
+        (0.0, -0.11971377700696378),
+        (0.0, 0.0909716893303511),
+        (0.0, 0.6615719066069286),
+    ),
+    "fuzz-41": (
+        (0.0, -0.22268665421838318, -0.13720697881066837),
+        (0.0, -0.04284568405803424, -0.045215341424653555),
+        (0.0, -0.20741507511850318, 0.11687425824567454),
+        (0.0, -0.8338161256504573, -0.1567797927370868),
+    ),
+    "fuzz-112": (
+        (0.0, 0.23983935962693348, 0.21872452629244904),
+        (0.0, -0.18301623735335348, 0.09524066943041587),
+        (0.0, 0.23626526380790674, -0.17930394967315577),
+        (0.0, 0.7835309073209782, 0.18733472738722823),
+    ),
+    "fuzz-218": (
+        (0.0, -0.4426804882957771, -0.24580903625842435, -0.03329988985699023),
+        (0.0, -0.24511294985060983, -0.297468656880924, 0.16081477272157674),
+        (0.0, 0.1654752695136264, -0.08374006303653184, -0.25868613971631144),
+        (0.0, -0.9976823831294954, -0.06071011843020441, 0.10658183527055293),
+    ),
+    "fuzz-388": (
+        (0.0, 0.31362395380215036, -0.15772021817466741),
+        (0.0, 0.0901889046410771, 0.11911048069655805),
+        (0.0, -0.1550327876867287, -0.060205664878567544),
+        (0.0, 0.8334817780692965, -0.11988304006485151),
+    ),
+}
+
 
 def _seeded(kind, p, b=1.0):
     if kind == "ellipse":
@@ -44,6 +80,7 @@ def _seeded(kind, p, b=1.0):
 def curves():
     out = {key: builtin(name, *params) for key, (name, params) in _BUILTINS.items()}
     out.update((key, _seeded(*args)) for key, args in _SEEDED.items())
+    out.update((key, TrigCurve(*rows)) for key, rows in _FUZZED.items())
     return out
 
 

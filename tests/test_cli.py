@@ -78,6 +78,19 @@ ESCAPES = [
     {"lambda_grid": [1.0, float("inf")]},
 ]
 
+# misspelled keys that once took their defaults silently, and the block each
+# error names
+MISSPELLED = [
+    ({"wave": {"kind": "plane", "alpa": 0.7}}, "wave"),
+    ({"lambda_gird": [1, 2]}, "config"),
+    ({"countour": True}, "config"),
+    ({"levelset": {"nx": 900}}, "levelset"),
+    ({"domain": {"builtin": "ellipse", "params": [2, 1], "b2": [0.0, 1.0]}}, "domain"),
+    ({"domain": {"corner": {"theta": 0.5, "a1": -1.0, "a2": -1.0, "a3": -1.0}}}, "domain"),
+    ({"disk": {"mode": "roots", "n": 2, "k_max": 10.0, "kmax": 20.0}}, "disk"),
+    ({"disk": {"mode": "compare", "alpha": 0.5, "n": 2}}, "disk"),
+]
+
 # integer fields that int() once truncated, and the block each error names
 FRACTIONS = [
     ({"wave": {"kind": "harmonic", "n": 2.7}}, "wave"),
@@ -105,12 +118,15 @@ def test_scenario_validation_errors():
         dict(base, quad={"tol": 1e-20}),
         dict(base, quad={"mode": "panel_gauss"}),
         dict(base, levelset={"rect": [1, 2]}),
-    ] + [dict(base, **cfg) for cfg, _ in FRACTIONS]
+    ] + [dict(base, **cfg) for cfg, _ in FRACTIONS + MISSPELLED]
     for cfg in bad:
         with pytest.raises(ConfigError):
             parse_scenario(cfg)
     for cfg, block in FRACTIONS:
         with pytest.raises(ConfigError, match=f"^bad {block}: ValueError"):
+            parse_scenario(dict(base, **cfg))
+    for cfg, block in MISSPELLED:
+        with pytest.raises(ConfigError, match=f"^bad {block}: (ValueError: )?unknown keys"):
             parse_scenario(dict(base, **cfg))
     with pytest.raises(ConfigError, match="^bad quad: ValueError: unknown keys"):
         parse_scenario(dict(base, quad={"nodes": 64, "panels": 9}))
@@ -121,7 +137,7 @@ def test_scenario_validation_errors():
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     base = {"version": 1, "k": 1.0, "q": 2.0, "domain": ELLIPSE, "wave": PLANE0}
-    malformed = ESCAPES + [cfg for cfg, _ in FRACTIONS]
+    malformed = ESCAPES + [cfg for cfg, _ in FRACTIONS + MISSPELLED]
     for i, cfg in enumerate(malformed):
         rc, out = run(tmp_path, "analyze", dict(base, **cfg), out=f"o{i}")
         assert rc == 2, cfg
@@ -221,9 +237,9 @@ def test_levelset_artifacts(tmp_path):
 
 def test_analyze_skips_level_lines_and_spare_searches(tmp_path, monkeypatch):
     # analyze reads only the grid values: no zero-level march, and a
-    # breadth-first search only for a leg whose chord is not clear: none on
+    # cell-path search only for a leg whose chord is not clear: none on
     # the ellipse, at most two (into the saddle and out of it) on the cardioid
-    bfs, march = saddle._bfs, saddle._march
+    bfs, march = saddle._bfs_path, saddle._march
     searches, marches = [], []
 
     def counting_bfs(*args):
@@ -234,7 +250,7 @@ def test_analyze_skips_level_lines_and_spare_searches(tmp_path, monkeypatch):
         marches.append(args)
         raise AssertionError("analyze marched the zero level")
 
-    monkeypatch.setattr(saddle, "_bfs", counting_bfs)
+    monkeypatch.setattr(saddle, "_bfs_path", counting_bfs)
     monkeypatch.setattr(saddle, "_march", no_march)
     for i, (domain, most) in enumerate(((ELLIPSE, 0), ({"builtin": "cardioid"}, 2))):
         searches.clear()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nonscatter import saddle
 from nonscatter.curves import TrigCurve, builtin, eval_jet, eval_jets
 from nonscatter.errors import (
     BranchUnresolvable,
@@ -18,7 +19,6 @@ from nonscatter.errors import (
 )
 from nonscatter.saddle import (
     ContourPath,
-    _bfs,
     _bfs_path,
     _components,
     SaddlePoint,
@@ -38,7 +38,8 @@ PI = math.pi
 # of each seeded shape in conftest, and the sha256 of the grid_to_svg(grid,
 # path) and grid_to_csv(grid) text of two builtins, as built before
 # build_contour searched on demand (the seeded shapes: before it tried chords
-# first); any change to how the contour is found must leave every bit in place
+# first; the fuzzed shapes: before each cell path came from one shortest-path
+# search); any change to how the contour is found must leave every bit in place
 _PINNED_CONTOURS = {
     "ellipse": (
         (
@@ -180,6 +181,68 @@ _PINNED_CONTOURS = {
         ),
         "0x0.0p+0",
         "0x1.0a56a634dc0e0p-5",
+    ),
+    "fuzz-27": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.a94825db0e325p+0", "0x1.daa463bc12138p-1"),
+            ("-0x1.91c417d209863p+0", "0x1.00f1379f55597p+0"),
+            ("-0x1.7a4009c904da1p+0", "0x1.14903d60a1a92p+0"),
+            ("0x1.acee9f37bebd0p-3", "0x1.947ae147ae148p-1"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x1.6405c656a30b5p-1",
+        "0x1.06c9f9f6c02f8p-10",
+    ),
+    "fuzz-41": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.7efe60c11bdb3p+0", "0x1.512e1b9cabbafp+0"),
+            ("-0x1.62371e6eff8a0p+0", "0x1.6dee73a465912p+0"),
+            ("-0x1.623c6955d13bap+0", "0x1.41e69984d5211p+0"),
+            ("-0x1.e28c731eb6950p-3", "0x1.47ae147ae1480p-9"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "-0x1.923e7ad6b7e85p+0",
+        "0x1.e5c7172cccb92p-9",
+    ),
+    "fuzz-112": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.5ed1a5bd682ecp+1", "-0x1.984ec4f26f56ap-4"),
+            ("-0x1.4c4e766b91a91p+1", "-0x1.4c45bbf09ece9p-4"),
+            ("-0x1.3821d5f0a12a6p+1", "-0x1.f2d299deb63acp-5"),
+            ("-0x1.203052f974274p-1", "0x1.cf5c28f5c28f7p-2"),
+            ("-0x1.0c152382d7368p-2", "0x1.c7ae147ae147bp-2"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x1.056f52fb83028p-3",
+        "0x1.ecc25a123eed2p-9",
+    ),
+    "fuzz-218": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.977b344365e6bp+0", "0x1.06d3f41d88ed5p-2"),
+            ("-0x1.543979b8997d2p+0", "0x1.e9b0ecd7bf809p-4"),
+            ("-0x1.13f0441dc487cp+0", "-0x1.78fa99e882268p-7"),
+            ("0x1.4bc08f251d866p+1", "0x1.b851eb851eb88p-4"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "-0x1.ec8ed6259dbe0p-2",
+        "0x1.6e2ec71a7837dp-6",
+    ),
+    "fuzz-388": (
+        (
+            ("-0x1.921fb54442d18p+1", "0x0.0p+0"),
+            ("-0x1.ca9611038cdccp-1", "-0x1.96ff9d5c93658p-3"),
+            ("-0x1.432432bafc128p-1", "-0x1.2e8c2f3ee5d62p-1"),
+            ("-0x1.1c9a19bf782d9p-1", "-0x1.a10c08a0a8550p-3"),
+            ("0x1.02078bc788bdcp+0", "0x1.c000000000001p-2"),
+            ("0x1.4f1a6c638d03cp+0", "0x1.c000000000001p-2"),
+            ("0x1.921fb54442d18p+1", "0x0.0p+0"),
+        ),
+        "0x1.60fac9dbe7449p+0",
+        "0x1.05c1a33536b4bp-8",
     ),
 }
 _PINNED_SHA256 = {
@@ -472,6 +535,29 @@ def test_contours_and_level_bytes_are_pinned(grids, paths):
         assert hashlib.sha256(grid_to_csv(grids[key]).encode()).hexdigest() == csv, key
 
 
+def test_fuzzed_contours_take_the_cell_path(curves, saddles, grids, monkeypatch):
+    # the pins above cover the cell-path branch on these distinct masks
+    calls = []
+    monkeypatch.setattr(saddle, "_bfs_path", lambda *args: calls.append(args) or _bfs_path(*args))
+    for key in (k for k in curves if k.startswith("fuzz-")):
+        calls.clear()
+        build_contour(curves[key], saddles[key], grids[key])
+        assert calls, key
+
+
+def test_build_contour_allocates_path_sized_memory(curves, saddles, grids):
+    # no grid-sized temporaries: the saddle disc is cut out on its index box
+    # and a cell path costs one search, without a parent field
+    for key, bound in (("cardioid", 4 << 20), ("ellipse", 3 << 19)):
+        tracemalloc.start()
+        try:
+            build_contour(curves[key], saddles[key], grids[key])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (key, peak)
+
+
 def test_contour_waypoint_validation():
     with pytest.raises(ValueError):
         ContourPath(waypoints=(-PI + 0j, 1j), omega=0.0, margin=0.1, i_saddle=1)
@@ -637,29 +723,19 @@ def _mask_and_ends(draw):
 def test_bfs_matches_deque_bfs(case):
     mask, a, b = case
     want = _deque_path(mask, a, b)
-    # the full field and the search stopped at the target give the same path
-    assert _bfs_path(_bfs(mask, a), b) == want
-    assert _bfs_path(_bfs(mask, a, b), b) == want
+    assert _bfs_path(mask, a, b) == want
     if a == b:
         assert want == [a]
-    # every parent of the full field is the one the queue search assigns
-    nr = mask.shape[1]
-    field = np.full(mask.shape, -1)
-    for (i, j), p in _deque_bfs(mask, a).items():
-        field[i, j] = i * nr + j if p is None else p[0] * nr + p[1]
-    assert (_bfs(mask, a) == field).all()
 
 
 @settings(max_examples=40, deadline=None)
 @given(_mask_and_ends())
-def test_bfs_stopped_at_any_reached_cell_is_a_prefix(case):
-    # build_contour reads its cell paths from searches stopped at their
-    # targets, which must agree with the full search on every reached cell
+def test_bfs_path_to_any_reached_cell_matches_deque_bfs(case):
+    # the search runs back from its target, so each target is its own
+    # search: every cell the queue search from a reaches must get its path
     mask, a, _ = case
-    full = _bfs(mask, a)
-    for i, j in zip(*np.nonzero(full >= 0)):
-        c = (int(i), int(j))
-        assert _bfs_path(_bfs(mask, a, c), c) == _bfs_path(full, c)
+    for c in _deque_bfs(mask, a):
+        assert _bfs_path(mask, a, c) == _deque_path(mask, a, c)
 
 
 @settings(max_examples=100, deadline=None)
