@@ -16,12 +16,12 @@ from nonscatter.quad import boundary_integral_I
 from nonscatter.waves import CircularHarmonic
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="artifacts/disk")
     ap.add_argument("--q", type=float, default=4.0)
     ap.add_argument("--k-max", type=float, default=20.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     q = args.q
 

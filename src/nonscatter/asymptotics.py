@@ -266,41 +266,49 @@ def radial_wronskian(n: int, q: float, k):
 
     Its zeros in k are the disk's nonscattering wavenumbers for harmonic order n.
     """
+    left, right = _wronskian_terms(n, q, k)
+    return left - right
+
+
+def _wronskian_terms(n: int, q: float, k):
+    # the two products whose difference is the radial Wronskian
+    if not q > 0 or q == 1:
+        raise ValueError(f"q must be positive and != 1, got {q}")
     rq = math.sqrt(q)
-    return bessel_jp(n, k) * bessel_j(n, k * rq) - rq * bessel_j(n, k) * bessel_jp(n, k * rq)
+    return bessel_jp(n, k) * bessel_j(n, k * rq), rq * bessel_j(n, k) * bessel_jp(n, k * rq)
 
 
 def nonscattering_wavenumbers(n: int, q: float, k_max: float) -> list[float]:
-    """Roots of the radial Wronskian below k_max: 0.01-step sign scan, then bisection."""
+    """Roots of the radial Wronskian below k_max: 0.01-step sign scan, then bisection
+    of every bracket at once.  A scan point whose two products are both below the
+    normal range gives no sign: their difference is noise, and where they underflow
+    (small k, large n) the Wronskian, about c k^(2n-1), has no root."""
     if n < 0:
         raise ValueError("harmonic order must be nonnegative")
-    if q == 1.0:
-        raise ValueError("contrast q must differ from 1")
-    if k_max > 100.0:
-        raise ValueError("scan cap is k_max <= 100")
+    if not k_max <= 100.0:
+        raise ValueError(f"k_max must be <= 100 (the scan cap), got {k_max}")
     step = 0.01
     ks = [step]
     while ks[-1] < k_max:
         ks.append(min(ks[-1] + step, k_max))
-    fs = radial_wronskian(n, q, np.array(ks)).real.tolist()
-    roots: list[float] = []
-    for k_prev, k_cur, f_prev, f_cur in zip(ks, ks[1:], fs, fs[1:]):
-        if f_prev == 0.0:
-            roots.append(k_prev)
-        elif f_prev * f_cur < 0.0:
-            lo, hi, flo = k_prev, k_cur, f_prev
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                fm = radial_wronskian(n, q, mid).real
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    return roots
+    ks = np.array(ks)
+    left, right = _wronskian_terms(n, q, ks)
+    fs = (left - right).real
+    resolved = np.maximum(np.abs(left), np.abs(right)) >= np.finfo(float).tiny
+    sign = np.sign(fs) * resolved
+    # a sign change brackets a root in [lo, hi]; an exact zero is one, lo = hi
+    at = np.flatnonzero(((fs == 0.0) & resolved)[:-1] | (sign[:-1] * sign[1:] < 0.0))
+    lo = ks[at]
+    hi = np.where(fs[at] == 0.0, lo, ks[at + 1])
+    live = np.flatnonzero(hi - lo > 1e-10)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        turn = sign[at[live]] * np.sign(radial_wronskian(n, q, mid).real)
+        # the root lies below mid, above it, or (turn == 0) at it
+        hi[live[turn <= 0.0]] = mid[turn <= 0.0]
+        lo[live[turn >= 0.0]] = mid[turn >= 0.0]
+        live = live[hi[live] - lo[live] > 1e-10]
+    return (0.5 * (lo + hi)).tolist()
 
 
 def bessel_contour_identity(n: int, a: complex, b: complex) -> tuple[complex, complex]:

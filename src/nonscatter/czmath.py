@@ -2,13 +2,12 @@
 
 Self-contained J_n for complex z: ascending series for small arguments,
 backward (Miller) recurrence beyond, documented envelope |z| <= 200.  The
-Bessel functions take scalars or numpy arrays; the series runs vectorized.
+Bessel functions take scalars or numpy arrays; each regime runs vectorized.
 Everything here is a pure function of value inputs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -89,31 +88,22 @@ def xi_vector(p: SpectralParams) -> TestVector:
 def _g_series(orders, w: np.ndarray) -> np.ndarray:
     # G_n(w) = sum_m (-w)^m / (m! (m+n)!) for each n of `orders` at each point of
     # w, as rows of a (len(orders), w.size) array, Kahan-compensated, in one loop
-    # over m; each (order, point) pair stops at its own rule and drops out
+    # over m; each (order, point) pair stops at its own rule and drops out.  Out
+    # of place, numpy fuses a product at every length, so no bit depends on the batch
     t0 = np.array([1.0 / float(math.factorial(n)) if n <= 128 else math.exp(-math.lgamma(n + 1.0)) for n in orders])
     out = np.empty((len(orders), w.size), dtype=complex)
     flat = out.reshape(-1)
     pos = np.arange(out.size)
-    row = np.repeat(np.arange(len(orders)), w.size)
-    n = np.asarray(orders, dtype=int)[row]
-    t0 = t0[row]
+    n = np.repeat(np.asarray(orders, dtype=int), w.size)
+    t0 = np.repeat(t0, w.size)
     w = np.tile(w.ravel(), len(orders))
     term = t0.astype(complex)
     total = term.copy()
     carry = np.zeros(w.size, dtype=complex)
-    lone = _lone(row)
     m = 0
     while pos.size:
         m += 1
-        step = -w / (m * (m + n))
-        before = term[lone] if lone.size else None
-        term *= step
-        # numpy multiplies a one-element array in place unfused, a longer one
-        # fused: a point left alone in its order gets the product it gets alone
-        for j, i in enumerate(lone):
-            one = before[j : j + 1]
-            one *= step[i : i + 1]
-            term[i] = one[0]
+        term = term * (-w / (m * (m + n)))
         y = term - carry
         t = total + y
         carry = (t - total) - y
@@ -126,86 +116,86 @@ def _g_series(orders, w: np.ndarray) -> np.ndarray:
         if done.any():
             flat[pos[done]] = total[done]
             keep = ~done
-            pos, row, n, t0, w, term, total, carry = (a[keep] for a in (pos, row, n, t0, w, term, total, carry))
-            lone = _lone(row)
+            pos, n, t0, w, term, total, carry = (a[keep] for a in (pos, n, t0, w, term, total, carry))
     return out
 
 
-def _lone(row: np.ndarray) -> np.ndarray:
-    """Indices of the elements that are the only one left of their order."""
-    return np.flatnonzero(np.bincount(row)[row] == 1)
+def _miller(orders, z: np.ndarray) -> np.ndarray:
+    # J_n(z) for each n >= 0 of `orders` at each point of z, as rows, by backward
+    # recurrence J_{m-1} = (2m/z) J_m - J_{m+1} normalized by the generating function
+    # e^{uz} = J_0 + 2 sum_{m>=1} u^m J_m, u = -i or i so |e^{uz}| = e^{|Im z|}: no
+    # cancellation off the real axis, as J_0 + 2 sum J_2m = 1 suffers.  Each point
+    # joins at its own start and is rescaled on its own, so no bit depends on the batch
+    az = np.abs(z)
+    start = np.fmax(max(orders) + 20, az + 10.0 * az ** (1.0 / 3.0) + 22.0).astype(int)
+    by_start = np.argsort(-start, kind="stable")
+    z, start = z[by_start], start[by_start]
+    u = np.where(z.imag >= 0, -1j, 1j)
+    powers = np.array([np.ones_like(u), u, -np.ones_like(u), -u])
+    jp = np.zeros(z.size, dtype=complex)
+    jc = np.full(z.size, 1e-280 + 0j)
+    weighted = np.zeros(z.size, dtype=complex)
+    found = np.zeros((len(orders), z.size), dtype=complex)
+    for m in range(int(start[0]), 0, -1):
+        a = np.searchsorted(-start, -m, side="right")  # the points with start >= m
+        jm = (2.0 * m / z[:a]) * jc[:a] - jp[:a]
+        jp[:a] = jc[:a]
+        jc[:a] = jm
+        found[[i for i, n in enumerate(orders) if n == m - 1]] = jc
+        if m > 1:
+            weighted[:a] = weighted[:a] + powers[(m - 1) % 4, :a] * jm
+        big = (np.abs(jm.real) > 1e250) | (np.abs(jm.imag) > 1e250)
+        if big.any():
+            for arr in (jp[:a], jc[:a], weighted[:a], found.T[:a]):
+                arr[big] = arr[big] * 1e-250
+    # row by row: a (1, 1) array times a (1,) array is multiplied unfused
+    norm = np.exp(u * z) / (jc + 2.0 * weighted)
+    out = np.empty_like(found)
+    out[:, by_start] = [row * norm for row in found]
+    return out
 
 
-def _split(x, cut: float, series, one, orders: int = 1) -> list:
-    """series() on the points with |x| <= cut, vectorized, and one() on each
-    point beyond, for `orders` rows at once: a list of one result per row,
-    complex for a scalar x, else an array of its shape."""
+def _split(x, cut: float, series, beyond, orders: int = 1) -> list:
+    """series() on the points with |x| <= cut and beyond() on the rest, each on one
+    array, for `orders` rows at once: a list of one result per row, complex for a
+    scalar x, else an array of its shape."""
     arr = np.asarray(x, dtype=complex)
     flat = arr.ravel()
     small = np.abs(flat) <= cut
     out = np.empty((orders, flat.size), dtype=complex)
     if small.any():
         out[:, small] = series(flat[small])
-    for i in np.flatnonzero(~small):
-        out[:, i] = one(complex(flat[i]))
+    if not small.all():
+        out[:, ~small] = beyond(flat[~small])
     if arr.ndim == 0:
         return [complex(row[0]) for row in out]
     return list(out.reshape((orders,) + arr.shape))
 
 
-def _g_beyond(n: int, w: complex) -> complex:
-    # G_n entire and J_n(2s)/s^n even in s, so the sqrt branch cancels
-    s = cmath.sqrt(w)
-    return bessel_j(n, 2.0 * s) / s**n
+def _g_miller(orders, w: np.ndarray) -> np.ndarray:
+    # G_n entire and J_n(2s)/s^n even in s, so the sqrt branch cancels; one
+    # recurrence per order, so each order equals its own call bit for bit
+    s = np.sqrt(w)
+    _check_envelope(2.0 * s)
+    return np.array([_miller((m,), 2.0 * s)[0] / s**m for m in orders]).reshape(len(orders), w.size)
 
 
 def bessel_g(n, w):
     """Entire function G_n(w) = sum_m (-w)^m/(m!(m+n)!); J_n(z) = (z/2)^n G_n(z^2/4).
 
     `w` may be a scalar (returns complex) or an array (returns a complex array
-    of its shape): the series runs vectorized for |w| <= 16, the points beyond
-    go one by one through J_n and its envelope check.  For a sequence of
-    orders `n`, returns the list of G_m(w) over m in n, every order from the
-    same series pass; each equals bessel_g(m, w) bit for bit.
+    of its shape): the points with |w| <= 16 run the series as one array, the
+    points beyond run Miller recurrence for J_n as one array, with its envelope
+    check.  Each point's value is the same bits whatever its batch.  For a
+    sequence of orders `n`, returns the list of G_m(w) over m in n, every order
+    from the same series pass; each equals bessel_g(m, w) bit for bit.
     """
     single = np.ndim(n) == 0
     orders = [n] if single else list(n)
     if orders and min(orders) < 0:
         raise ValueError(f"bessel_g requires n >= 0, got {min(orders)}")
-    vals = _split(
-        w, _G_SERIES_CUT, lambda w: _g_series(orders, w), lambda w: [_g_beyond(m, w) for m in orders], len(orders)
-    )
+    vals = _split(w, _G_SERIES_CUT, lambda w: _g_series(orders, w), lambda w: _g_miller(orders, w), len(orders))
     return vals[0] if single else vals
-
-
-def _miller(n: int, z: complex) -> complex:
-    # backward recurrence J_{m-1} = (2m/z) J_m - J_{m+1}, normalized by the
-    # generating function e^{uz} = J_0 + 2 sum_{m>=1} u^m J_m with u = -i or i
-    # chosen so |e^{uz}| = e^{|Im z|}: its terms then add up without the
-    # cancellation that J_0 + 2 sum J_2m = 1 suffers off the real axis
-    u = -1j if z.imag >= 0 else 1j
-    powers = (1.0, u, -1.0, -u)
-    az = abs(z)
-    start = int(max(n + 20, az + 10.0 * az ** (1.0 / 3.0) + 22.0))
-    jp = 0.0 + 0.0j
-    jc = 1e-280 + 0.0j
-    weighted = 0.0 + 0.0j
-    jn = 0.0 + 0.0j
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / z) * jc - jp
-        jp = jc
-        jc = jm
-        order = m - 1
-        if order == n:
-            jn = jc
-        if order >= 1:
-            weighted += powers[order % 4] * jc
-        if abs(jc.real) > 1e250 or abs(jc.imag) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            weighted *= 1e-250
-            jn *= 1e-250
-    return jn / (jc + 2.0 * weighted) * cmath.exp(u * z)
 
 
 def _check_envelope(z) -> None:
@@ -214,21 +204,16 @@ def _check_envelope(z) -> None:
         raise AccuracyEnvelopeExceeded(f"|z| = {mod.max():.6g} exceeds the J_n envelope {_ENVELOPE:g}")
 
 
-def _miller_any(n: int, z: complex) -> complex:
-    val = _miller(abs(n), z)
-    return -val if n < 0 and n % 2 else val
-
-
 def bessel_j(n: int, z):
     """J_n(z) for complex z, |z| <= 200; negative orders via J_{-n} = (-1)^n J_n.
 
-    Scalar or array `z`, as for bessel_g: the series runs vectorized for
-    |z| <= 8 and Miller recurrence point by point beyond."""
+    Scalar or array `z`, as for bessel_g: the series runs on the points with
+    |z| <= 8 and Miller recurrence on the points beyond, each as one array."""
     _check_envelope(z)
     if n < 0:
         val = bessel_j(-n, z)
         return -val if n % 2 else val
-    return _split(z, _SERIES_CUT, lambda z: (0.5 * z) ** n * _g_series((n,), 0.25 * z * z)[0], lambda z: _miller(n, z))[0]
+    return _split(z, _SERIES_CUT, lambda z: (0.5 * z) ** n * _g_series((n,), 0.25 * z * z)[0], lambda z: _miller((n,), z))[0]
 
 
 def bessel_jp(n: int, z):
@@ -245,4 +230,9 @@ def bessel_jp(n: int, z):
         g, g1 = _g_series((n, n + 1), w)
         return lead * g - h ** (n + 1) * g1
 
-    return _split(z, _SERIES_CUT, series, lambda z: 0.5 * (_miller_any(n - 1, z) - _miller_any(n + 1, z)))[0]
+    def beyond(z):
+        # J_{n-1} and J_{n+1} from one recurrence; J_{-1} = -J_1
+        below, above = _miller((abs(n - 1), n + 1), z)
+        return 0.5 * ((-below if n == 0 else below) - above)
+
+    return _split(z, _SERIES_CUT, series, beyond)[0]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize as spo
 import scipy.special as sps
 
 from nonscatter.asymptotics import (
@@ -255,6 +256,40 @@ def test_nonscattering_wavenumbers_frozen():
         assert abs(wr) <= 1e-9
     with pytest.raises(ValueError):
         nonscattering_wavenumbers(0, 4.0, 150.0)
+
+
+def _scipy_wronskian_roots(n, q, k_max):
+    # independent oracle: a sign scan of the Wronskian built from scipy, then brentq
+    sq = math.sqrt(q)
+
+    def w(k):
+        return sps.jvp(n, k) * sps.jv(n, k * sq) - sq * sps.jv(n, k) * sps.jvp(n, k * sq)
+
+    ks = np.linspace(0.005, k_max, int(k_max / 0.005))
+    sign = np.sign(w(ks))
+    return [spo.brentq(w, ks[i], ks[i + 1], xtol=1e-13) for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+
+
+@pytest.mark.parametrize("n, q, k_max, count", [(2, 4.0, 100.0, 31), (60, 4.0, 10.0, 0), (100, 4.0, 10.0, 0)])
+def test_nonscattering_wavenumbers_match_scipy(n, q, k_max, count):
+    # n = 2 scans past the series cut almost everywhere; at n = 60 and 100 both
+    # products of the Wronskian underflow to 0.0 at small k, which is no root
+    got = nonscattering_wavenumbers(n, q, k_max)
+    want = _scipy_wronskian_roots(n, q, k_max)
+    assert len(got) == len(want) == count
+    for g, r in zip(got, want):
+        assert abs(g - r) <= 1e-9, (g, r)
+
+
+def test_wronskian_input_checks():
+    for q in (-4.0, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="q must be positive"):
+            radial_wronskian(2, q, 3.0)
+        with pytest.raises(ValueError, match="q must be positive"):
+            nonscattering_wavenumbers(2, q, 10.0)
+    for k_max in (math.nan, math.inf, 100.5):
+        with pytest.raises(ValueError, match="k_max must be <= 100"):
+            nonscattering_wavenumbers(2, 4.0, k_max)
 
 
 def test_bessel_ring_identity_spot_values():

@@ -270,13 +270,14 @@ def _j_from_g(n, w, g):
     ),
 )
 def test_bessel_g_envelope_hypothesis(n, polar):
-    # scalar and array calls, both sides of the series cut, against scipy
+    # scalar and array calls, both sides of the series cut, against scipy;
+    # each array element is its scalar call bit for bit
     w = np.array([cmath.rect(r, th) for r, th in polar], dtype=complex)
     arr = bessel_g(n, w)
     assert arr.shape == w.shape and arr.dtype == complex
     for i, wi in enumerate(w):
         one = bessel_g(n, complex(wi))
-        assert isinstance(one, complex)
+        assert isinstance(one, complex) and one == arr[i], (n, wi)
         for g in (one, arr[i]):
             got, ref = _j_from_g(n, wi, g)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (n, wi)
@@ -306,12 +307,14 @@ def test_bessel_g_orders_share_one_pass(orders, polar):
 
 
 def test_bessel_g_array_shape():
+    # each point of an array call is its scalar call bit for bit, on both sides
+    # of the series cut |w| = 16
     w = np.array([[0.5, -3.0 + 1.0j, 29.0], [16.5j, 0.0, -100.0]])
     out = bessel_g(3, w)
     assert out.shape == (2, 3)
     for i in range(2):
         for j in range(3):
-            assert abs(out[i, j] - bessel_g(3, complex(w[i, j]))) <= 1e-15 * max(1.0, abs(out[i, j]))
+            assert out[i, j] == bessel_g(3, complex(w[i, j])), w[i, j]
 
 
 def test_bessel_g_pinned_past_old_series_cut():
@@ -321,16 +324,21 @@ def test_bessel_g_pinned_past_old_series_cut():
 
 
 def test_bessel_j_and_jp_on_arrays():
-    # array calls meet the scalar contract on both sides of the series cut
+    # array calls meet the scalar contract on both sides of the series cut, and
+    # each element is its scalar call bit for bit
     rng = np.random.default_rng(11)
     z = (rng.uniform(0.0, 30.0, 40) * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))).reshape(8, 5)
     z[0, 0] = 0.0
+    z[0, 1] = 8.0
+    z[0, 2] = 8.0 * np.exp(0.3j) * (1.0 + 1e-15)
     for n in (-3, 0, 1, 4):
         j, jp = bessel_j(n, z), bessel_jp(n, z)
         assert j.shape == jp.shape == z.shape
         ref, refp = sps.jv(n, z), sps.jvp(n, z)
         assert np.all(np.abs(j - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert np.all(np.abs(jp - refp) <= 1e-12 * np.maximum(1.0, np.abs(refp)))
+        for zi, ji, jpi in zip(z.ravel(), j.ravel(), jp.ravel()):
+            assert ji == bessel_j(n, complex(zi)) and jpi == bessel_jp(n, complex(zi)), (n, zi)
     assert bessel_j(2, np.array([])).shape == (0,)
     with pytest.raises(AccuracyEnvelopeExceeded):
         bessel_j(0, np.array([1.0, 200.5]))
