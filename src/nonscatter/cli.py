@@ -3,7 +3,8 @@
 Scenarios are JSON with a version field; angles are radians, complex numbers
 are [re, im] pairs, and every number must be finite.  Each block decodes to
 the object it names (curve or wedge, wave, disk mode), and a malformed block
-is a config error that names it.  Output artifacts (CSV, JSON, SVG) are
+is a config error that names it.  Scenarios are only read: the config file a
+run read is its record.  Output artifacts (CSV, JSON, SVG) are
 deterministic: same scenario file, same bytes.  Exit codes: 0 verdict
 reached, 2 bad config, 3 inconclusive, 4 no admissible contour or saddle,
 5 numerical failure.
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .asymptotics import (
     _pair,
@@ -49,10 +50,10 @@ from .quad import (
     lambda_sweep,
     sweep_to_csv,
 )
-from .saddle import build_contour, find_saddles, grid_to_csv, grid_to_svg, level_region, validate_contour
+from .saddle import _GRID_NR, _GRID_NS, build_contour, find_saddles, grid_to_csv, grid_to_svg, level_region, validate_contour
 from .waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, WaveModel, value as wave_value
 
-__all__ = ["Scenario", "parse_scenario", "serialize_scenario", "main"]
+__all__ = ["Scenario", "parse_scenario", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +61,7 @@ EXIT_INCONCLUSIVE = 3
 EXIT_NO_PATH = 4
 EXIT_NUMERICAL = 5
 
-_DEFAULT_LEVELSET = (None, 481, 361)
+_DEFAULT_LEVELSET = (None, _GRID_NR, _GRID_NS)
 # what a malformed block raises while it is decoded; the guard in _block
 # turns each into a ConfigError that names the block
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, InvalidShapeParams)
@@ -79,7 +80,6 @@ class DiskMode:
 
 @dataclass(frozen=True)
 class Scenario:
-    version: int
     domain: TrigCurve | CornerDomain | None
     wave: WaveModel | None
     k: float
@@ -145,12 +145,6 @@ def _decode_domain(d) -> TrigCurve | CornerDomain:
     raise ValueError("domain must give builtin, corner, or Fourier coefficients")
 
 
-def _encode_domain(dom: TrigCurve | CornerDomain) -> dict:
-    if isinstance(dom, CornerDomain):
-        return {"corner": {"theta": dom.theta, "a1": dom.a1, "a2": dom.a2}}
-    return {"a1": list(dom.a1), "b1": list(dom.b1), "a2": list(dom.a2), "b2": list(dom.b2)}
-
-
 def _decode_wave(w, k: float) -> WaveModel:
     kind = w["kind"]
     if kind == "plane":
@@ -174,16 +168,6 @@ def _decode_wave(w, k: float) -> WaveModel:
     raise ValueError(f"unknown wave kind {kind!r}")
 
 
-def _encode_wave(w: WaveModel) -> dict:
-    if isinstance(w, PlaneWave):
-        return {"kind": "plane", "alpha": w.alpha}
-    if isinstance(w, PlaneCombo):
-        return {"kind": "plane_combo", "terms": [[_pair(c), alpha] for c, alpha in w.terms]}
-    if isinstance(w, CircularHarmonic):
-        return {"kind": "harmonic", "n": w.n}
-    return {"kind": "herglotz", "psi": {str(n): _pair(c) for n, c in w.psi}}
-
-
 def _decode_disk(d) -> DiskMode:
     mode = d["mode"]
     if mode == "roots":
@@ -196,10 +180,6 @@ def _decode_disk(d) -> DiskMode:
         _known(d, "mode", "n")
         return DiskMode(mode, n=_integer(d["n"]))
     raise ValueError(f"unknown disk mode {mode!r}")
-
-
-def _encode_disk(m: DiskMode) -> dict:
-    return {key: v for key, v in asdict(m).items() if v is not None}
 
 
 def _decode_g0(v):
@@ -219,7 +199,7 @@ def _decode_levelset(ls) -> tuple:
     if rect is not None:
         (r_lo, r_hi), (s_lo, s_hi) = rect
         rect = ((_real(r_lo), _real(r_hi)), (_real(s_lo), _real(s_hi)))
-    return (rect, _integer(ls.get("nr", 481)), _integer(ls.get("ns", 361)))
+    return (rect, _integer(ls.get("nr", _GRID_NR)), _integer(ls.get("ns", _GRID_NS)))
 
 
 _REQUIRED = object()
@@ -254,7 +234,6 @@ def parse_scenario(cfg: dict) -> Scenario:
     if q <= 0 or q == 1.0:
         raise ConfigError("q must be positive and different from 1")
     return Scenario(
-        version=1,
         domain=_block(cfg, "domain", _optional(_decode_domain), None),
         wave=_block(cfg, "wave", _optional(lambda w: _decode_wave(w, k)), None),
         k=k,
@@ -268,37 +247,6 @@ def parse_scenario(cfg: dict) -> Scenario:
         disk=_block(cfg, "disk", _optional(_decode_disk), None),
         out=_block(cfg, "out", _optional(str), None),
     )
-
-
-def serialize_scenario(s: Scenario) -> dict:
-    """The scenario as a config dict that parses back to an equal Scenario.
-
-    Each object is written by its type's encoder; a builtin domain is written
-    as its Fourier coefficients, which parse to the same curve."""
-    cfg: dict = {"version": 1, "k": s.k, "q": s.q}
-    if s.domain is not None:
-        cfg["domain"] = _encode_domain(s.domain)
-    if s.wave is not None:
-        cfg["wave"] = _encode_wave(s.wave)
-    if s.lambda_grid:
-        cfg["lambda_grid"] = list(s.lambda_grid)
-    if s.p_power is not None:
-        cfg["p"] = s.p_power
-    if s.g0 != "zero":
-        cfg["g0"] = s.g0 if s.g0 == "saddle" else _pair(s.g0)
-    cfg["quad"] = {"nodes": s.quad.nodes, "tol": s.quad.tol}
-    if s.contour:
-        cfg["contour"] = True
-    if s.levelset != _DEFAULT_LEVELSET:
-        rect, nr, ns = s.levelset
-        cfg["levelset"] = {"nr": nr, "ns": ns}
-        if rect is not None:
-            cfg["levelset"]["rect"] = [list(rect[0]), list(rect[1])]
-    if s.disk is not None:
-        cfg["disk"] = _encode_disk(s.disk)
-    if s.out is not None:
-        cfg["out"] = s.out
-    return cfg
 
 
 def build_domain(s: Scenario):

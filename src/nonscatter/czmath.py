@@ -158,7 +158,8 @@ def _miller(orders, z: np.ndarray) -> np.ndarray:
 def _split(x, cut: float, series, beyond, orders: int = 1) -> list:
     """series() on the points with |x| <= cut and beyond() on the rest, each on one
     array, for `orders` rows at once: a list of one result per row, complex for a
-    scalar x, else an array of its shape."""
+    scalar x, else an array of its shape.  J_n, J_n' and G_n are real on the real
+    axis, so beyond()'s imaginary roundoff there is set to 0.0."""
     arr = np.asarray(x, dtype=complex)
     flat = arr.ravel()
     small = np.abs(flat) <= cut
@@ -167,6 +168,7 @@ def _split(x, cut: float, series, beyond, orders: int = 1) -> list:
         out[:, small] = series(flat[small])
     if not small.all():
         out[:, ~small] = beyond(flat[~small])
+        out.imag[:, ~small & (flat.imag == 0.0)] = 0.0
     if arr.ndim == 0:
         return [complex(row[0]) for row in out]
     return list(out.reshape((orders,) + arr.shape))
@@ -176,7 +178,7 @@ def _g_miller(orders, w: np.ndarray) -> np.ndarray:
     # G_n entire and J_n(2s)/s^n even in s, so the sqrt branch cancels; one
     # recurrence per order, so each order equals its own call bit for bit
     s = np.sqrt(w)
-    _check_envelope(2.0 * s)
+    _check_envelope(s + s)  # |2 s|; 2.0 * s would turn an infinite s into nan, with a warning
     return np.array([_miller((m,), 2.0 * s)[0] / s**m for m in orders]).reshape(len(orders), w.size)
 
 
@@ -200,8 +202,12 @@ def bessel_g(n, w):
 
 def _check_envelope(z) -> None:
     mod = np.abs(np.asarray(z, dtype=complex))
-    if mod.size and mod.max() > _ENVELOPE:
-        raise AccuracyEnvelopeExceeded(f"|z| = {mod.max():.6g} exceeds the J_n envelope {_ENVELOPE:g}")
+    inside = mod <= _ENVELOPE  # False at nan as well
+    if not inside.all():
+        out = mod[~inside]
+        if not np.isfinite(out).all():
+            raise AccuracyEnvelopeExceeded(f"z is non-finite, outside the J_n envelope |z| <= {_ENVELOPE:g}")
+        raise AccuracyEnvelopeExceeded(f"|z| = {out.max():.6g} exceeds the J_n envelope {_ENVELOPE:g}")
 
 
 def bessel_j(n: int, z):

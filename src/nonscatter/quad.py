@@ -4,8 +4,8 @@ The diagnostic integral over a closed curve x(t), t in [-pi, pi], is
     I(lam) = int [(x2', -x1') . V + i lam g' v + i lt x1' v] e^(lam g + i lt x2) dt
 with g = x1 + i x2, v = u(x(t)), V = grad u(x(t)), lt = sqrt(lam^2+k^2 q) - lam.
 Real-interval evaluation uses the periodic trapezoid rule; deformed contours
-and corner legs use adaptive Gauss panels.  An optional normalization g0 folds
-e^(-lam g0) into the exponent so large-lam sweeps never overflow.
+and corner legs use adaptive Gauss panels.  lambda_sweep folds its
+normalization e^(-lam g0) into the exponent so large-lam sweeps never overflow.
 
 Every integral is one walk over the rule's node arrays that serves a whole
 lam grid (a single lam is the one-row case): the Gauss panel tree is walked
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ _BLOCK_POINTS = 1 << 16
 class QuadOptions:
     nodes: int = 32
     tol: float = 1e-10
-    g0: complex | None = None
 
     def __post_init__(self):
         if not 8 <= self.nodes <= 4096:
@@ -265,10 +264,9 @@ class _Walk:
         return {r: x for r, x in done.items() if r < self.stop}
 
 
-def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams) -> list:
-    """[(integral, nodes used)] for each lam of the increasing list `lams`, from one
-    walk; raises the error of the smallest lam that fails."""
-    g0 = complex(opts.g0) if opts.g0 is not None else 0.0 + 0.0j
+def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: complex) -> list:
+    """[(e^(-lam g0) I(lam), nodes used)] for each lam of the increasing list `lams`,
+    from one walk; raises the error of the smallest lam that fails."""
     n_panel = min(max(opts.nodes, 16), 64)
     if isinstance(domain, CornerDomain):
         # split toward the corner where e^(lam t) concentrates
@@ -280,12 +278,10 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams) -> list:
         raise TypeError(f"unsupported domain {type(domain).__name__}")
     elif isinstance(path, ContourPath):
         legs = [(1, list(path.waypoints), _curve_nodes(domain, wave))]
-    else:
-        if path is not None:
-            a, b = path
-            if abs(a + math.pi) > 1e-12 or abs(b - math.pi) > 1e-12:
-                raise ValueError("real-interval path must be the full period (-pi, pi)")
+    elif path is None:
         legs = [(1, None, _curve_nodes(domain, wave))]
+    else:
+        raise TypeError(f"path must be None or a ContourPath, got {type(path).__name__}")
 
     walk = _Walk()
     lts = []
@@ -321,8 +317,10 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams) -> list:
 
 
 def boundary_integral_I(domain, wave, q: float, lam: float, path=None, opts: QuadOptions | None = None) -> complex:
-    """The diagnostic integral; with opts.g0 set, returns e^(-lam g0) I(lam)."""
-    [(val, _)] = _integrals(domain, wave, q, path, opts or QuadOptions(), [lam])
+    """The diagnostic integral I(lam), on the real interval when path is None.
+
+    For the normalized value e^(-lam g0) I(lam), call lambda_sweep(..., [lam], 0.0, g0)."""
+    [(val, _)] = _integrals(domain, wave, q, path, opts or QuadOptions(), [lam], 0j)
     return val
 
 
@@ -384,7 +382,7 @@ def lambda_sweep(domain, wave, q: float, lam_grid, p_power: float, g0: complex, 
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
     records = []
-    for lam, (val, used) in zip(grid, _integrals(domain, wave, q, path, replace(opts or QuadOptions(), g0=complex(g0)), grid)):
+    for lam, (val, used) in zip(grid, _integrals(domain, wave, q, path, opts or QuadOptions(), grid, complex(g0))):
         w = lam * complex(g0)
         if w.real > _EXP_CAP:
             raw = complex(math.inf, math.inf)

@@ -2,8 +2,9 @@
 
 A contour from -pi to pi through a simple saddle t0 is admissible when
 Re g(t) < Re g(t0) everywhere on it except at t0 itself.  build_contour
-searches the sampled strict-descent region for such a path and records the
-departure slope omega used by the square-root branch rule.
+searches the sampled strict-descent region for such a path; the
+square-root branch rule reads the direction in which the path arrives at t0
+(ContourPath.arrival_angle).
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ __all__ = [
 
 SIMPLE_REL = 1e-8
 RESIDUAL_REL = 1e-10
-_S_WINDOW = 3.5  # |Im t| of the roots find_saddles polishes; its rect keeps |Im t| <= 3
+_S_WINDOW = 3.5  # |Im t| of the roots find_saddles polishes
+_SADDLE_WINDOW = 1.5  # |Im t| of the saddles find_saddles reports
+_GRID_NR, _GRID_NS = 481, 361  # the default level_region grid, r by s samples
 _RHO = 0.1  # radius of the saddle disc, inside which contours need not clear the margin
 _SAMPLES = 2048  # points at which a finished contour is checked
 
@@ -67,7 +70,6 @@ class LevelSetGrid:
     r: np.ndarray
     s: np.ndarray
     values: np.ndarray
-    t0: complex
 
     @functools.cached_property
     def polylines(self) -> list:
@@ -91,10 +93,9 @@ class LevelSetGrid:
 
 @dataclass(frozen=True)
 class ContourPath:
-    """Polyline -pi -> pi through the saddle; omega is the slope leaving toward pi."""
+    """Polyline -pi -> pi through the saddle waypoint i_saddle, with the margin it clears."""
 
     waypoints: tuple[complex, ...]
-    omega: float
     margin: float
     i_saddle: int
 
@@ -187,15 +188,15 @@ def _merge_multiple(curve: TrigCurve, ws: np.ndarray, scale_pp: float) -> list[c
     return out
 
 
-def find_saddles(curve: TrigCurve, rect=None) -> list[SaddlePoint]:
-    """Every zero t0 of g' in rect, from the companion matrix of w^M g'(t).
+def find_saddles(curve: TrigCurve) -> list[SaddlePoint]:
+    """Every zero t0 of g' with |Im t0| <= 1.5, from the companion matrix of w^M g'(t).
 
     g' is a trigonometric polynomial of degree M, so with w = e^{it} the
     function w^M g'(t) is a polynomial of degree 2M in w and np.roots gives
     all its roots; t = -i log w.  Each root is polished by Newton steps on
     g' (none where g'' vanishes: Newton divides roundoff by roundoff at a
-    multiple root) and kept when Im t lies in [s_lo, s_hi] and Re t mod 2 pi
-    in [r_lo, r_hi].  Re t is reported in [-pi, pi].
+    multiple root) and kept when |Im t| <= _SADDLE_WINDOW.  Re t is reported
+    in [-pi, pi].
 
     Saddles on the seam Re t = +/- pi are excluded: the asymptotics needs an
     interior crossing point, and the seam pair duplicates an interior orbit.
@@ -203,11 +204,6 @@ def find_saddles(curve: TrigCurve, rect=None) -> list[SaddlePoint]:
     its scale is reported once, with simple=False.  Sorted by decreasing Re g0,
     then by Re t0 and Im t0 among saddles whose Re g0 agree to 1e-12.
     """
-    if rect is None:
-        rect = ((-math.pi, math.pi), (-1.5, 1.5))
-    (r_lo, r_hi), (s_lo, s_hi) = rect
-    if max(abs(s_lo), abs(s_hi)) > 3.0:
-        raise ValueError("search rectangle must stay within |Im t| <= 3")
     scale_p = _scale(curve, 1)
     scale_pp = _scale(curve, 2)
 
@@ -233,9 +229,7 @@ def find_saddles(curve: TrigCurve, rect=None) -> list[SaddlePoint]:
                 break
             z = z - g[1] / g[2]
         r = math.remainder(z.real, 2.0 * math.pi)
-        if abs(abs(r) - math.pi) <= 1e-8 or not s_lo <= z.imag <= s_hi:
-            continue
-        if r + 2.0 * math.pi * math.ceil((r_lo - r) / (2.0 * math.pi)) > r_hi:
+        if abs(abs(r) - math.pi) <= 1e-8 or not abs(z.imag) <= _SADDLE_WINDOW:
             continue
         z = complex(r, z.imag)
         if any(abs(z - f) <= 1e-8 for f in found):
@@ -370,7 +364,7 @@ def _march(values: np.ndarray, r: np.ndarray, s: np.ndarray) -> list:
     return polylines
 
 
-def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = 481, ns: int = 361) -> LevelSetGrid:
+def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = _GRID_NR, ns: int = _GRID_NS) -> LevelSetGrid:
     """Signed field Re g - Re g(t0) on the strip; its zero level is marched on demand."""
     if not sp.simple:
         raise ValueError("level_region needs a simple saddle")
@@ -397,7 +391,7 @@ def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = 481, ns
     re_g = np.cosh(ms) @ even
     re_g += np.sinh(ms) @ odd
     re_g -= sp.g0.real
-    return LevelSetGrid(r=r, s=s, values=re_g, t0=sp.t0)
+    return LevelSetGrid(r=r, s=s, values=re_g)
 
 
 def _re_g_many(curve: TrigCurve, ts) -> np.ndarray:
@@ -537,7 +531,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
     if end_excess > -delta:
         raise NoAdmissiblePath("endpoint sits inside the margin band")
 
-    def _finish(waypoints, omega, i_saddle):
+    def _finish(waypoints, i_saddle):
         # stored margin = what the path actually achieves, capped by the target
         ts = _resample(waypoints, _SAMPLES)
         exc = _re_g_many(curve, ts) - re_g0
@@ -545,12 +539,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
         worst = float(exc[outside].max())
         if worst >= 0.0:
             raise NoAdmissiblePath(f"constructed path re-ascends to excess {worst:.3g}")
-        return ContourPath(
-            waypoints=tuple(waypoints),
-            omega=omega,
-            margin=min(delta, 0.999 * (-worst)),
-            i_saddle=i_saddle,
-        )
+        return ContourPath(waypoints=tuple(waypoints), margin=min(delta, 0.999 * (-worst)), i_saddle=i_saddle)
 
     # real-interval shortcut: real saddle whose axis already descends
     if abs(t0.imag) <= 1e-9:
@@ -559,9 +548,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
         outside = np.abs(ts - t0.real) > _RHO
         tiny = 1e-12 * max(1.0, abs(re_g0))
         if float(exc[outside].max()) < 0.0 and (exc[~outside] <= tiny).all():
-            return _finish(
-                (-math.pi + 0j, complex(t0.real, 0.0), math.pi + 0j), 0.0, 1
-            )
+            return _finish((-math.pi + 0j, complex(t0.real, 0.0), math.pi + 0j), 1)
 
     r, s, values = grid.r, grid.s, grid.values
     ns, nr = values.shape
@@ -693,7 +680,7 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
     leg_in = leg(-math.pi + 0j, p_entry, start, pn[1])
     leg_out = leg(p_exit, math.pi + 0j, pe[1], goal)
     waypoints = tuple(leg_in) + (t0,) + tuple(leg_out)
-    return _finish(waypoints, float(math.remainder(exit_phi, 2.0 * math.pi)), len(leg_in))
+    return _finish(waypoints, len(leg_in))
 
 
 def validate_contour(curve: TrigCurve, path: ContourPath) -> ValidationReport:

@@ -97,7 +97,7 @@ def test_asym_report_verdicts(curves, saddles, paths):
     assert ell.verdict == "ScattersByC1"
     assert ell.order == 1.5
     assert ell.C2 is None
-    assert ell.omega == paths["ellipse"].omega
+    assert ell.omega == paths["ellipse"].arrival_angle()
 
     card = asym_report(curves["cardioid"], PlaneWave(k=1.0, alpha=0.0), 2.0, saddles["cardioid"], paths["cardioid"])
     assert card.verdict == "ScattersByC2"

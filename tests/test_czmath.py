@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,44 @@ def test_bessel_envelope_is_enforced():
         bessel_j(0, 200.5)
     with pytest.raises(AccuracyEnvelopeExceeded):
         bessel_j(2, 150.0 + 140.0j)
+
+
+def test_non_finite_arguments_raise_without_warnings():
+    # nan fails every |z| <= 200 test, so it is refused before any arithmetic;
+    # an infinite w is refused before 2 sqrt(w) can turn it into nan
+    from nonscatter.asymptotics import radial_wronskian
+
+    nan = float("nan")
+    calls = [
+        lambda: bessel_j(0, nan),
+        lambda: bessel_g(1, nan),
+        lambda: bessel_jp(2, complex(nan, 1.0)),
+        lambda: radial_wronskian(0, 4.0, nan),
+        lambda: bessel_g(0, math.inf),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            with pytest.raises(AccuracyEnvelopeExceeded, match="non-finite"):
+                call()
+
+
+def test_real_axis_values_are_real_beyond_the_cuts():
+    # J_n, J_n' and G_n are real on the real axis; past the series cuts
+    # (|z| > 8, |w| > 16) no imaginary roundoff is left
+    zs = np.array([-150.0, -30.5, 8.5, 12.25, 40.5, 81.0, 199.0])
+    ws = np.array([-9000.0, -40.0, 16.5, 300.0, 9999.0])
+    s = np.sqrt(ws.astype(complex))
+    for n in (0, 1, 3, 7):
+        for got, ref in (
+            (bessel_j(n, zs), sps.jv(n, zs)),
+            (bessel_jp(n, zs), sps.jvp(n, zs)),
+            (bessel_g(n, ws), sps.jv(n, 2.0 * s) / s**n),
+        ):
+            assert (got.imag == 0.0).all(), n
+            assert np.all(np.abs(got.real - ref.real) <= 1e-12 * np.maximum(1.0, np.abs(ref))), n
+        for z in zs:
+            assert bessel_j(n, float(z)).imag == 0.0 and bessel_jp(n, float(z)).imag == 0.0
 
 
 def test_bessel_g_matches_j():

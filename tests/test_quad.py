@@ -1,6 +1,5 @@
 import math
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,12 +57,12 @@ def test_contour_independence(curves, paths):
             assert abs(flat - bent) <= 1e-8 * max(1.0, abs(flat)), (key, lam)
 
 
-def test_real_interval_path_must_be_full_period(curves):
+def test_path_must_be_none_or_a_contour(curves):
+    # None is the real interval; an interval given as a tuple is refused
     wave = PlaneWave(k=1.0, alpha=0.0)
-    v = boundary_integral_I(curves["ellipse"], wave, 2.0, 1.0, (-PI, PI))
-    assert abs(v - boundary_integral_I(curves["ellipse"], wave, 2.0, 1.0)) < 1e-12
-    with pytest.raises(ValueError):
-        boundary_integral_I(curves["ellipse"], wave, 2.0, 1.0, (0.0, PI))
+    for path in ((-PI, PI), (0.0, PI)):
+        with pytest.raises(TypeError, match="ContourPath"):
+            boundary_integral_I(curves["ellipse"], wave, 2.0, 1.0, path)
 
 
 def test_g0_normalization_rescales_exactly(curves, saddles):
@@ -71,10 +70,10 @@ def test_g0_normalization_rescales_exactly(curves, saddles):
     g0 = saddles["ellipse"].g0
     lam = 5.0
     raw = boundary_integral_I(curves["ellipse"], wave, 2.0, lam)
-    scaled = boundary_integral_I(curves["ellipse"], wave, 2.0, lam, None, QuadOptions(g0=g0))
+    [rec] = lambda_sweep(curves["ellipse"], wave, 2.0, [lam], 0.0, g0)
     import cmath
 
-    assert abs(scaled * cmath.exp(lam * g0) - raw) <= 1e-9 * max(1.0, abs(raw))
+    assert abs(rec.resid * cmath.exp(lam * g0) - raw) <= 1e-9 * max(1.0, abs(raw))
 
 
 def test_area_oracle_identity(curves):
@@ -109,10 +108,8 @@ def test_overflow_guard_trips_on_unormalized_large_lambda(curves):
 
 def test_overflow_guard_absent_once_normalized(curves, saddles, paths):
     sp = saddles["ellipse"]
-    v = boundary_integral_I(
-        curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), 2.0, 400.0, paths["ellipse"], QuadOptions(g0=sp.g0)
-    )
-    assert np.isfinite(v.real) and np.isfinite(v.imag)
+    [rec] = lambda_sweep(curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), 2.0, [400.0], 0.0, sp.g0, paths["ellipse"])
+    assert np.isfinite(rec.resid.real) and np.isfinite(rec.resid.imag)
 
 
 def test_normalized_integrand_stays_moderate(curves, saddles, paths):
@@ -144,14 +141,7 @@ def test_normalized_integrand_stays_moderate(curves, saddles, paths):
 def test_quadrature_refuses_tolerance_below_roundoff(curves, saddles, paths):
     sp, path = saddles["cardioid"], paths["cardioid"]
     with pytest.raises(QuadratureNotConverged, match="max depth"):
-        boundary_integral_I(
-            curves["cardioid"],
-            PlaneWave(k=1.0, alpha=0.0),
-            2.0,
-            1000.0,
-            path,
-            QuadOptions(g0=sp.g0, tol=1e-13),
-        )
+        lambda_sweep(curves["cardioid"], PlaneWave(k=1.0, alpha=0.0), 2.0, [1000.0], 0.0, sp.g0, path, QuadOptions(tol=1e-13))
 
 
 def test_lambda_sweep_grid_validation(curves):
@@ -186,8 +176,7 @@ def test_lambda_sweep_is_deterministic(curves, saddles, paths):
     again = lambda_sweep(curves["ellipse"], wave, 2.0, grid, 1.5, sp.g0, path)
     assert first == again
     for r in first:
-        alone = boundary_integral_I(curves["ellipse"], wave, 2.0, r.lam, path, QuadOptions(g0=sp.g0))
-        assert r.resid == r.lam**1.5 * alone
+        assert lambda_sweep(curves["ellipse"], wave, 2.0, [r.lam], 1.5, sp.g0, path) == [r]
 
 
 @pytest.mark.parametrize("key", ["ellipse", "deltoid"])
@@ -276,14 +265,13 @@ def test_lambda_sweep_equals_single_lam_calls(curves, saddles, paths, kind, wave
         # rows that stop refining at different depths or doublings
         assert len({r.nodes_used for r in recs}) > 1
     for r in recs:
-        alone = boundary_integral_I(dom, wave, 2.0, r.lam, path, replace(opts, g0=g0))
-        assert r.resid == r.lam**p * alone, (kind, wave_kind, r.lam)
+        assert lambda_sweep(dom, wave, 2.0, [r.lam], p, g0, path, opts) == [r], (kind, wave_kind, r.lam)
 
 
-def _first_failure(dom, wave, grid, path, opts):
+def _first_failure(dom, wave, grid, g0, path, opts):
     for lam in grid:
         try:
-            boundary_integral_I(dom, wave, 2.0, lam, path, opts)
+            lambda_sweep(dom, wave, 2.0, [lam], 1.5, g0, path, opts)
         except Exception as e:  # whatever a lam-by-lam loop would raise
             return e
     return None
@@ -304,7 +292,7 @@ def test_failing_sweep_raises_the_first_failing_lam(curves, saddles, paths, kind
         grid, opts = [1.0, 100.0, 400.0, 800.0], QuadOptions()
         with pytest.raises(OverflowRisk):
             boundary_integral_I(dom, PlaneWave(k=1.0, alpha=0.0), 2.0, 400.0, path, opts)
-    want = _first_failure(dom, PlaneWave(k=1.0, alpha=0.0), grid, path, replace(opts, g0=g0))
+    want = _first_failure(dom, PlaneWave(k=1.0, alpha=0.0), grid, g0, path, opts)
     assert want is not None
     with pytest.raises(type(want)) as got:
         lambda_sweep(dom, PlaneWave(k=1.0, alpha=0.0), 2.0, grid, 1.5, g0, path, opts)

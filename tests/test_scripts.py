@@ -3,11 +3,12 @@ import os
 
 from nonscatter.asymptotics import nonscattering_wavenumbers
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+def _load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(folder, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,3 +25,17 @@ def test_disk_tables_smoke(tmp_path, capsys):
         want = nonscattering_wavenumbers(n, 4.0, 8.0)
         assert want and [float(r[1]) for r in rows if r[0] == str(n)] == want, n
     assert "closed-form cross-check written" in capsys.readouterr().out
+
+
+def test_tracer_restores_every_patched_name():
+    # the traced benchmark run wraps these names in place; each must exist
+    # and come back unchanged when the tracer is removed
+    tracing = _load("tracing", os.path.join(ROOT, "perfbench"))
+    before = [(owner, attr, owner.__dict__[attr]) for owner, attr, *_ in tracing._TARGETS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(owner.__dict__[attr] is not fn for owner, attr, fn in before)
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in before)
