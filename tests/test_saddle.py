@@ -392,13 +392,20 @@ def test_find_saddles_ignores_negligible_end_coefficients(curves):
     assert find_saddles(TrigCurve(a1=(2.0,), b1=(), a2=(), b2=(), check=False)) == []
 
 
-def test_find_saddles_window(curves):
-    # deltoid saddles at 0 and +-2pi/3, Re t reported in [-pi, pi]
+def test_find_saddles_keeps_rect(curves):
+    # the one window |Im t| <= 1.5 keeps the deltoid saddles at 0 and +-2pi/3,
+    # Re t reported in [-pi, pi]
     third = round(2 * PI / 3, 9)
     assert sorted(round(sp.t0.real, 9) for sp in find_saddles(curves["deltoid"])) == [-third, 0.0, third]
-    # nonconvex: one saddle above the real axis, two below, all inside |Im t| <= 1.5
+    # nonconvex: one saddle above the real axis, two below
     ncv = find_saddles(curves["nonconvex"])
     assert sorted(sp.t0.imag > 0 for sp in ncv) == [False, False, True]
+
+
+def test_find_saddles_rect_validation(curves):
+    # no rect is taken: the window is fixed
+    with pytest.raises(TypeError):
+        find_saddles(curves["ellipse"], rect=((-PI, PI), (-5.0, 5.0)))
     # the interior saddle i atanh(b/a) of the ellipse (a, b) is 0.55i at (2, 1),
     # and 1.86i, outside the window, at (1.05, 1)
     assert [sp.t0 for sp in find_saddles(curves["ellipse"])] == pytest.approx([1j * math.atanh(0.5)], abs=1e-12)
