@@ -1,15 +1,19 @@
 """Trigonometric-polynomial boundary curves, complex jets, and corner wedges.
 
 Curves are real trig polynomials x_j(t) = a_j0 + sum_m (a_jm cos mt + b_jm sin mt),
-degree <= 16, so the phase g(t) = x1(t) + i x2(t) is entire and all derivatives
-are exact termwise expressions valid at complex t.
+degree M <= 16, so the phase g(t) = x1(t) + i x2(t) is entire.  In w = e^{it}
+each x_j is the Laurent polynomial sum_{|m| <= M} c_m w^m with c_0 = a_j0 and
+c_{+-m} = (a_jm -+ i b_jm) / 2, and d/dt = i w d/dw multiplies c_m by i m.  Each
+TrigCurve builds the table of these coefficients for derivative orders 0..4
+once; a jet at complex t is then one exp, a running product for the powers of
+w and 1/w, and one matrix product for every order at once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,6 +33,7 @@ __all__ = [
 ]
 
 MAX_DEGREE = 16
+_MAX_ORDER = 4
 
 
 def _coeffs(seq) -> tuple[float, ...]:
@@ -44,6 +49,8 @@ class TrigCurve:
     a2: tuple[float, ...]
     b2: tuple[float, ...]
     check: bool = True
+    # rows x1^(d), x2^(d) for d = 0..4; columns w^0..w^M, then w^-0..w^-M
+    laurent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = [_coeffs(self.a1), _coeffs(self.b1), _coeffs(self.a2), _coeffs(self.b2)]
@@ -57,6 +64,24 @@ class TrigCurve:
         padded[3] = (0.0,) + padded[3][1:]
         for name, row in zip(("a1", "b1", "a2", "b2"), padded):
             object.__setattr__(self, name, row)
+        # at least the columns of w^+-1, which eval_jets always fills
+        coeffs = np.zeros((4, max(n, 2)))
+        coeffs[:, :n] = padded
+        if not np.isfinite(coeffs).all():
+            raise InvalidShapeParams("Fourier coefficients must be finite")
+        a, b = coeffs[0::2], coeffs[1::2]
+        up = 0.5 * (a - 1j * b)
+        up[:, 0] = a[:, 0]
+        down = 0.5 * (a + 1j * b)
+        down[:, 0] = 0.0
+        m = np.arange(coeffs.shape[1], dtype=float)
+        # (+-i m)^d from exact factors, so that no power of i adds roundoff
+        units = (1, 1j, -1, -1j)
+        rows = [
+            np.concatenate([up * (units[d % 4] * m**d), down * (units[-d % 4] * m**d)], axis=1)
+            for d in range(_MAX_ORDER + 1)
+        ]
+        object.__setattr__(self, "laurent", np.concatenate(rows))
         if self.check:
             self._advisory_checks()
 
@@ -170,29 +195,26 @@ def corner_segments(c: CornerDomain) -> tuple[CornerSegment, CornerSegment]:
 
 
 def eval_jets(curve: TrigCurve, ts, order: int = 3):
-    """Vectorized jets: list over derivative order d of (x1^(d), x2^(d)) arrays."""
-    if not 0 <= order <= 4:
-        raise ValueError(f"order must be in 0..4, got {order}")
+    """Jets at every t of ts: list over derivative order d of (x1^(d), x2^(d)), shaped like ts."""
+    if not 0 <= order <= _MAX_ORDER:
+        raise ValueError(f"order must be in 0..{_MAX_ORDER}, got {order}")
     ts = np.asarray(ts, dtype=complex)
+    t = ts.reshape(-1)
     # fold Re t into [-pi, pi] so jets at t and t + 2 pi k collide to ulps
-    re = ts.real
-    ts = ts - 2.0 * math.pi * np.round(re / (2.0 * math.pi))
-    m = np.arange(len(curve.a1), dtype=float)
-    a1 = np.asarray(curve.a1)
-    b1 = np.asarray(curve.b1)
-    a2 = np.asarray(curve.a2)
-    b2 = np.asarray(curve.b2)
-    mt = np.multiply.outer(ts, m)
-    out = []
-    for d in range(order + 1):
-        ph = d * 0.5 * math.pi
-        fac = m**d
-        c = np.cos(mt + ph) * fac
-        s = np.sin(mt + ph) * fac
-        x1d = c @ a1 + s @ b1
-        x2d = c @ a2 + s @ b2
-        out.append((x1d, x2d))
-    return out
+    t = t - 2.0 * math.pi * np.rint(t.real / (2.0 * math.pi))
+    # powers[0, m] = w^m and powers[1, m] = w^-m: one exp, then products that double the run
+    n = curve.laurent.shape[1] // 2
+    powers = np.empty((2, n, t.size), dtype=complex)
+    powers[:, 0] = 1.0
+    np.exp(np.multiply.outer((1j, -1j), t), out=powers[:, 1])
+    k = 1
+    while k < n - 1:
+        j = min(k, n - 1 - k)
+        np.multiply(powers[:, 1:j + 1], powers[:, k:k + 1], out=powers[:, k + 1:k + j + 1])
+        k += j
+    rows = 2 * order + 2
+    vals = (curve.laurent[:rows] @ powers.reshape(2 * n, -1)).reshape((rows,) + ts.shape)
+    return [(vals[2 * d], vals[2 * d + 1]) for d in range(order + 1)]
 
 
 def eval_jet(curve: TrigCurve, t, order: int = 4) -> CurveJet:
@@ -217,8 +239,8 @@ def eval_jet(curve: TrigCurve, t, order: int = 4) -> CurveJet:
 
 def g_jet(curve: TrigCurve, t, order: int = 3) -> tuple[complex, ...]:
     """(g, g', ..., g^(order)) at complex t."""
-    arrs = eval_jets(curve, [complex(t)], min(order, 4))
-    return tuple(complex(p[0][0] + 1j * p[1][0]) for p in arrs[: order + 1])
+    arrs = eval_jets(curve, [complex(t)], order)
+    return tuple(complex(p[0][0] + 1j * p[1][0]) for p in arrs)
 
 
 def builtin(name: str, *params: float) -> TrigCurve:

@@ -137,18 +137,10 @@ def _scale(curve: TrigCurve, d: int) -> float:
 
 
 def _gp_poly(curve: TrigCurve) -> np.ndarray:
-    """Coefficients of w^M g'(t), w = e^{it}, highest power first.
-
-    With A = a1 + i a2 and B = b1 + i b2, the term A cos mt + B sin mt of g is
-    c_m w^m + c_-m w^-m with c_+-m = (A -+ i B) / 2, so g' has the coefficients
-    +-i m c_+-m.
-    """
-    m = np.arange(1, len(curve.a1))
-    A = np.asarray(curve.a1[1:]) + 1j * np.asarray(curve.a2[1:])
-    B = np.asarray(curve.b1[1:]) + 1j * np.asarray(curve.b2[1:])
-    up = 0.5j * m * (A - 1j * B)
-    down = -0.5j * m * (A + 1j * B)
-    return np.concatenate([up[::-1], [0j], down])
+    """Coefficients of w^M g'(t), w = e^{it}, highest power first, from the curve's Laurent table."""
+    n = curve.laurent.shape[1] // 2
+    gp = curve.laurent[2] + 1j * curve.laurent[3]
+    return np.concatenate([gp[n - 1::-1], gp[n + 1:]])
 
 
 def _trimmed_roots(p: np.ndarray, rel: float) -> np.ndarray:
@@ -395,8 +387,8 @@ def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = _GRID_N
 
 
 def _re_g_many(curve: TrigCurve, ts) -> np.ndarray:
-    jets = eval_jets(curve, np.asarray(ts, dtype=complex), order=0)
-    return (jets[0][0] + 1j * jets[0][1]).real
+    x1, x2 = eval_jets(curve, ts, order=0)[0]
+    return x1.real - x2.imag
 
 
 def _resample(waypoints, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonscatter.curves import (
+    MAX_DEGREE,
     CornerDomain,
     TrigCurve,
     _chords_cross,
@@ -75,6 +76,16 @@ def test_max_degree_enforced():
         TrigCurve(a1=(0.0,) * 18, b1=(), a2=(), b2=(0.0,) * 18)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_rejected(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidShapeParams, match="finite"):
+            TrigCurve((0.0, bad), (0.0,), (0.0,), (0.0, 1.0))
+        with pytest.raises(InvalidShapeParams, match="finite"):
+            TrigCurve((0.0, 1.0), (0.0,), (0.0,), (0.0, 1.0, bad), check=False)
+
+
 def test_jets_match_finite_differences():
     rng = np.random.default_rng(12)
     cv = builtin("nonconvex")
@@ -119,6 +130,9 @@ def test_g_jet_consistency():
     assert g[0] == j.g and g[1] == j.gp and g[2] == j.gpp and g[3] == j.g3
     assert j.g == j.x[0] + 1j * j.x[1]
     assert j.gpp == j.xpp[0] + 1j * j.xpp[1]
+    assert len(g_jet(cv, t, order=4)) == 5
+    with pytest.raises(ValueError, match="order"):
+        g_jet(cv, t, order=6)
 
 
 def test_cardioid_phase_factorization():
@@ -141,6 +155,66 @@ def test_eval_jets_vectorized_agrees_with_scalar():
         assert abs(jets[0][0][i] - j.x[0]) < 1e-14 * max(1.0, abs(j.x[0]))
         assert abs(jets[1][1][i] - j.xp[1]) < 1e-14 * max(1.0, abs(j.xp[1]))
         assert abs(jets[3][0][i] - j.x3[0]) < 1e-13 * max(1.0, abs(j.x3[0]))
+
+
+def _series_jet(rows, t, d):
+    """(x1^(d), x2^(d)) at t term by term from cos(mt + d pi/2) and sin(mt + d pi/2), at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        tm = mpmath.mpc(t.real, t.imag)
+        out = []
+        for a, b in (rows[0:2], rows[2:4]):
+            tot = mpmath.mpc(0)
+            for m in range(len(a)):
+                ph = m * tm + d * mpmath.pi / 2
+                tot += m**d * (a[m] * mpmath.cos(ph) + b[m] * mpmath.sin(ph))
+            out.append(complex(tot))
+        return out
+
+
+@st.composite
+def _curve_rows(draw):
+    deg = draw(st.integers(1, MAX_DEGREE))
+    coeff = st.floats(-1.0, 1.0)
+    return [draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1)) for _ in range(4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _curve_rows(),
+    st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.5, 1.5)), min_size=1, max_size=4),
+    st.integers(0, 4),
+)
+def test_eval_jets_match_series_oracle(rows, points, order):
+    # every jet within 32 eps of the sum of its terms' magnitudes, m^d (|a_m| + |b_m|) cosh(m Im t)
+    curve = TrigCurve(*rows, check=False)
+    ts = np.array([complex(r, s) for r, s in points])
+    jets = eval_jets(curve, ts, order=order)
+    eps = np.finfo(float).eps
+    m = np.arange(len(rows[0]))
+    for i, t in enumerate(ts):
+        grow = np.cosh(m * t.imag)
+        for d in range(order + 1):
+            want = _series_jet(rows, t, d)
+            for comp in (0, 1):
+                size = np.abs(rows[2 * comp]) + np.abs(rows[2 * comp + 1])
+                bound = 32 * eps * float((m**d * size * grow).sum())
+                assert abs(jets[d][comp][i] - want[comp]) <= bound, (d, comp, t)
+
+
+def test_eval_jets_keep_input_shape():
+    cv = builtin("deltoid")
+    ts = np.array([[0.1, -1.2 + 0.4j, 2.9], [0.5j, -3.0, 1.0 - 1.0j]])
+    grid = eval_jets(cv, ts, order=2)
+    flat = eval_jets(cv, ts.ravel(), order=2)
+    point = eval_jets(cv, np.complex128(-1.2 + 0.4j), order=2)
+    for d in range(3):
+        for comp in (0, 1):
+            assert grid[d][comp].shape == ts.shape and np.iscomplexobj(grid[d][comp])
+            assert np.array_equal(grid[d][comp].ravel(), flat[d][comp])
+            assert np.shape(point[d][comp]) == () and np.iscomplexobj(point[d][comp])
+            assert abs(point[d][comp] - flat[d][comp][1]) <= 1e-14 * max(1.0, abs(flat[d][comp][1]))
 
 
 def test_orientation_warning_on_clockwise_curve():
