@@ -77,11 +77,11 @@ class TrigCurve:
         m = np.arange(coeffs.shape[1], dtype=float)
         # (+-i m)^d from exact factors, so that no power of i adds roundoff
         units = (1, 1j, -1, -1j)
-        rows = [
+        table = [
             np.concatenate([up * (units[d % 4] * m**d), down * (units[-d % 4] * m**d)], axis=1)
             for d in range(_MAX_ORDER + 1)
         ]
-        object.__setattr__(self, "laurent", np.concatenate(rows))
+        object.__setattr__(self, "laurent", np.concatenate(table))
         if self.check:
             self._advisory_checks()
 
@@ -218,7 +218,7 @@ def eval_jets(curve: TrigCurve, ts, order: int = 3):
 
 
 def eval_jet(curve: TrigCurve, t, order: int = 4) -> CurveJet:
-    """Exact termwise jet of the curve (and of g) at one complex t."""
+    """Jet of the curve (and of g) at one complex t, from eval_jets."""
     arrs = eval_jets(curve, [complex(t)], order)
     pairs = [(complex(p[0][0]), complex(p[1][0])) for p in arrs]
     pairs += [None] * (5 - len(pairs))
