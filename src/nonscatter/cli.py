@@ -13,6 +13,7 @@ reached, 2 bad config, 3 inconclusive, 4 no admissible contour or saddle,
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -324,6 +325,10 @@ def cmd_sweep(s: Scenario, out: str | None) -> int:
         g0 = 0j if s.g0 == "zero" else s.g0
     records = lambda_sweep(dom, wave, s.q, s.lambda_grid, s.p_power, g0, path, s.quad)
     _emit(out, "sweep.csv", sweep_to_csv(records))
+    # e^{lam g0} can overflow a double while the normalized residual stays finite
+    lost = [f"{float(r.lam)!r}" for r in records if not cmath.isfinite(r.I_raw) and cmath.isfinite(r.resid)]
+    if lost:
+        print(f"note: unnormalized I is not finite at lam = {', '.join(lost)}, where resid is finite", file=sys.stderr)
     summary: dict = {"n_records": len(records), "p": s.p_power, "g0": _pair(complex(g0))}
     try:
         fit = fit_decay(records)

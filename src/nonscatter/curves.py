@@ -96,34 +96,75 @@ class TrigCurve:
         x1p, x2p = jets[1][0].real, jets[1][1].real
         area = 0.5 * np.mean(x1 * x2p - x2 * x1p) * 2.0 * math.pi
         if area <= 0:
-            warnings.warn("curve orientation is not counterclockwise (signed area <= 0)", stacklevel=3)
+            warnings.warn("curve orientation is not counterclockwise (signed area <= 0)", stacklevel=4)
         if _chords_cross(x1, x2):
-            warnings.warn("curve appears to self-intersect on a 2048-point chord sample", stacklevel=3)
+            warnings.warn("curve appears to self-intersect on a 2048-point chord sample", stacklevel=4)
+
+
+def _boxes(lo_x, hi_x, lo_y, hi_y, starts):
+    """Bounding boxes (lo_x, hi_x, lo_y, hi_y) of the chord runs that begin at starts."""
+    return (
+        np.minimum.reduceat(lo_x, starts), np.maximum.reduceat(hi_x, starts),
+        np.minimum.reduceat(lo_y, starts), np.maximum.reduceat(hi_y, starts),
+    )
+
+
+def _meet(a, b):
+    """Matrix of which boxes of a meet which boxes of b, edges included."""
+    return (
+        (a[0][:, None] <= b[1][None, :]) & (b[0][None, :] <= a[1][:, None])
+        & (a[2][:, None] <= b[3][None, :]) & (b[2][None, :] <= a[3][:, None])
+    )
 
 
 def _chords_cross(x, y) -> bool:
     """Proper-crossing test among the closing chords of the sampled curve.
 
-    Chords are grouped in blocks of consecutive samples.  Two chords can cross
-    only where their bounding boxes meet, so the strict predicate runs only on
-    block pairs whose boxes overlap, 2^13 chord pairs at a time, so that each
-    temporary stays below 128 KiB and is reused rather than page-faulted in.
+    The closed polygon splits into maximal sections, runs of chords whose signs
+    (rx > 0, ry > 0) stay the same, a zero component counting as not positive.
+    Along a section x and y are weakly monotone, so a later chord of a section
+    lies in the closed quadrant beyond the end point q of an earlier one: their
+    bounding boxes share at most q, and a proper crossing there would put q on
+    the later chord, a zero that the strict predicate rejects (for neighbours
+    d1 == 0 exactly).  Only chords of different sections are tested then, and
+    only where their bounding boxes meet.  Chords are grouped in blocks of
+    consecutive samples; the blocks that straddle a section boundary or whose
+    box meets another section's box are box-tested against each other, and the
+    strict predicate runs on the pairs that meet, unless both blocks lie inside
+    one section.  It takes 2^13 chord pairs at a time, so that each temporary
+    stays below 128 KiB and is reused rather than page-faulted in.  A closed
+    polygon with no section boundary cannot move monotonically, so all its
+    chords have zero length and none crosses.  The argument holds in exact
+    arithmetic; tests/test_curves.py checks the rounded predicate of the
+    pruned pairs against all pairs.
     """
     n, block = len(x), 8
-    px, py = x, y
-    qx, qy = np.roll(x, -1), np.roll(y, -1)
+    xy = np.stack((x, y))
+    rises = np.diff(xy, axis=1, append=xy[:, :1]) > 0
+    key = 2 * rises[0] + rises[1]
+    new = key != np.roll(key, 1)
+    if not new.any():
+        return False
+    # start the sample at a section boundary, so that every section is one run
+    first = int(np.argmax(new))
+    new = np.roll(new, -first)
+    ring = np.concatenate((xy[:, first:], xy[:, :first + 1]), axis=1)
+    (px, py), (qx, qy) = ring[:, :-1], ring[:, 1:]
     rx, ry = qx - px, qy - py
+    sec = np.cumsum(new) - 1
     starts = np.arange(0, n, block)
-    lo_x = np.minimum.reduceat(np.minimum(px, qx), starts)
-    hi_x = np.maximum.reduceat(np.maximum(px, qx), starts)
-    lo_y = np.minimum.reduceat(np.minimum(py, qy), starts)
-    hi_y = np.maximum.reduceat(np.maximum(py, qy), starts)
-    meet = (
-        (lo_x[:, None] <= hi_x[None, :]) & (lo_x[None, :] <= hi_x[:, None])
-        & (lo_y[:, None] <= hi_y[None, :]) & (lo_y[None, :] <= hi_y[:, None])
-    )
+    chord_box = np.minimum(px, qx), np.maximum(px, qx), np.minimum(py, qy), np.maximum(py, qy)
+    box = _boxes(*chord_box, starts)
+    # the section of each block, or -1 for a block that straddles a boundary
+    own = np.where(sec[starts] == sec[np.minimum(starts + block - 1, n - 1)], sec[starts], -1)
+    # which blocks meet the box of a section not their own (a straddling block always does)
+    near = _meet(box, _boxes(*chord_box, np.flatnonzero(new))) & (own[:, None] != np.arange(sec[-1] + 1))
+    hot = np.flatnonzero(near.any(axis=1))
+    hot_box = tuple(b[hot] for b in box)
+    bi, bj = (hot[k] for k in np.nonzero(_meet(hot_box, hot_box)))
     # the predicate is symmetric in the two chords, so j >= i suffices
-    bi, bj = np.nonzero(np.triu(meet))
+    keep = (bi <= bj) & ((own[bi] != own[bj]) | (own[bi] < 0))
+    bi, bj = bi[keep], bj[keep]
     offs = np.arange(block)
     chunk = max(1, 2**13 // block**2)
     for c0 in range(0, len(bi), chunk):

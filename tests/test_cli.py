@@ -327,6 +327,20 @@ def test_sweep_artifacts(tmp_path):
     assert set(fit["fit"]) == {"limit", "order"}
 
 
+@pytest.mark.parametrize("name, lams", [("deltoid_c2", ["320.0"]), ("ellipse_c1", [])])
+def test_sweep_notes_overflowed_I(tmp_path, capsys, name, lams):
+    # the deltoid's e^{lam g0} passes the largest double at lam = 320; its resid does not
+    assert main(["sweep", "--config", os.path.join(SCENARIOS, f"{name}.json"), "--out", str(tmp_path)]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    if not lams:
+        assert notes == []
+        return
+    (note,) = notes
+    assert re.findall(r"\d+\.\d+", note) == lams
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows if not math.isfinite(float(r[1]))] == lams
+
+
 def test_disk_roots_and_wronskian(tmp_path):
     rc, out = run(tmp_path, "disk", {"version": 1, "k": 1.0, "q": 4.0, "disk": {"mode": "roots", "n": 0, "k_max": 20}})
     assert rc == 0

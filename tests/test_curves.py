@@ -221,7 +221,8 @@ def test_orientation_warning_on_clockwise_curve():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         TrigCurve(a1=(0.0, 1.0), b1=(), a2=(), b2=(0.0, -1.0))  # clockwise circle
-    assert any("counterclockwise" in str(w.message) for w in rec)
+    (w,) = [w for w in rec if "counterclockwise" in str(w.message)]
+    assert w.filename == __file__
 
 
 def test_self_intersection_warning():
@@ -229,7 +230,8 @@ def test_self_intersection_warning():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         TrigCurve(a1=(1.0, 1.0, 1.0), b1=(), a2=(), b2=(0.0, 1.0, 1.0))
-    assert any("intersect" in str(w.message) for w in rec)
+    (w,) = [w for w in rec if "intersect" in str(w.message)]
+    assert w.filename == __file__
 
 
 def test_corner_domain_and_segments():
@@ -289,6 +291,28 @@ def test_pruned_chord_test_matches_all_pairs(a1, b1, a2, b2):
     assert _chords_cross(x, y) == _chords_cross_all_pairs(x, y)
 
 
+@st.composite
+def _near_simple_rows(draw):
+    # the ROADMAP fuzz distribution (zero mean, m = 1 terms of a1 and b2 in
+    # [-1, 1], the rest in [-0.3, 0.3]) at degree 1-4; above, the rest in [-0.3/M, 0.3/M]
+    deg = draw(st.integers(1, MAX_DEGREE))
+    small = 0.3 if deg <= 4 else 0.3 / deg
+
+    def terms(k):
+        return draw(st.lists(st.floats(-small, small), min_size=k, max_size=k))
+
+    a1 = [0.0, draw(st.floats(-1.0, 1.0))] + terms(deg - 1)
+    b2 = [0.0, draw(st.floats(-1.0, 1.0))] + terms(deg - 1)
+    return a1, [0.0] + terms(deg), [0.0] + terms(deg), b2
+
+
+@settings(max_examples=30, deadline=None)
+@given(_near_simple_rows())
+def test_pruned_chord_test_matches_all_pairs_near_simple(rows):
+    x, y = _chord_sample(TrigCurve(*rows, check=False))
+    assert _chords_cross(x, y) == _chords_cross_all_pairs(x, y)
+
+
 def test_pruned_chord_test_on_fixtures():
     limacon = TrigCurve(a1=(1.0, 1.0, 1.0), b1=(), a2=(), b2=(0.0, 1.0, 1.0), check=False)
     x, y = _chord_sample(limacon)
@@ -297,6 +321,26 @@ def test_pruned_chord_test_on_fixtures():
         warnings.simplefilter("always")
         TrigCurve(a1=limacon.a1, b1=limacon.b1, a2=limacon.a2, b2=limacon.b2)
     assert any("intersect" in str(w.message) for w in rec)
-    for name, params in (("ellipse", (2.0, 1.0)), ("cardioid", ()), ("deltoid", ()), ("nonconvex", ())):
+    simple = (("ellipse", (2.0, 1.0)), ("cardioid", ()), ("deltoid", ()), ("nonconvex", ()), ("circle", (1.0,)))
+    for name, params in simple:
         x, y = _chord_sample(builtin(name, *params))
         assert not _chords_cross(x, y) and not _chords_cross_all_pairs(x, y)
+    # limacon (1 + a cos t)(cos t, sin t), a = 1.001 and 1.0001: its crossing sits
+    # in a loop of about 30 or 9 samples around the turning point at t = pi, so
+    # across section boundaries and inside blocks that straddle them; relabelling
+    # the polygon cyclically moves where the sample starts against the loop
+    for a in (1.001, 1.0001):
+        x, y = _chord_sample(TrigCurve(a1=(a / 2, 1.0, a / 2), b1=(), a2=(), b2=(0.0, 1.0, a / 2), check=False))
+        for shift in (0, 37, 74, 148):
+            xs, ys = np.roll(x, shift), np.roll(y, shift)
+            assert _chords_cross(xs, ys) and _chords_cross_all_pairs(xs, ys)
+    # every chord of zero length; traced back and forth along the x1 axis
+    for rows in (((0.5,), (), (0.25,), ()), ((0.0, 1.0, 0.3), (), (), ())):
+        x, y = _chord_sample(TrigCurve(*rows, check=False))
+        assert not _chords_cross(x, y) and not _chords_cross_all_pairs(x, y)
+    # the circle on the half-step grid holds chords with rx == 0 and with ry == 0
+    ts = np.linspace(-math.pi, math.pi, 2048, endpoint=False) + math.pi / 2048
+    jets = eval_jets(builtin("circle", 1.0), ts, order=0)
+    x, y = jets[0][0].real, jets[0][1].real
+    assert (np.roll(x, -1) == x).any() and (np.roll(y, -1) == y).any()
+    assert not _chords_cross(x, y) and not _chords_cross_all_pairs(x, y)
