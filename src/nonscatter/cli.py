@@ -329,6 +329,11 @@ def cmd_sweep(s: Scenario, out: str | None) -> int:
     lost = [f"{float(r.lam)!r}" for r in records if not cmath.isfinite(r.I_raw) and cmath.isfinite(r.resid)]
     if lost:
         print(f"note: unnormalized I is not finite at lam = {', '.join(lost)}, where resid is finite", file=sys.stderr)
+    # tol is relative to max(1, |e^{-lam g0} I|); the quadrature's roundoff floor, or a
+    # first coarse sum that overstated |I|, can leave a larger achieved error
+    loose = [f"{float(r.lam)!r}" for r in records if r.error > s.quad.tol * max(r.lam**s.p_power, abs(r.resid))]
+    if loose:
+        print(f"note: achieved quadrature error exceeds tol = {s.quad.tol!r} at lam = {', '.join(loose)}", file=sys.stderr)
     summary: dict = {"n_records": len(records), "p": s.p_power, "g0": _pair(complex(g0))}
     try:
         fit = fit_decay(records)

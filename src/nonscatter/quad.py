@@ -14,6 +14,18 @@ depth first, and each visited panel evaluates the lam-free integrand data
 rule doubles all lams together and evaluates only the new nodes.  Each lam
 keeps its own tolerance and convergence test, so it gets the rule, the value
 and the error that it gets alone.
+
+The integrand carries rounding noise of its own: lam (g - g0) + i lt x2 has an
+absolute error of about eps (1 + lam (|g| + |g0|) + |lt x2|), which exp turns
+into a relative error of f.  So a rule or panel also accepts when its
+disagreement is at most its roundoff floor, 32 eps times int |f| (1 + lam (|g|
++ |g0|) + |lt x2|) dt summed from the nodes it has already evaluated; a
+tolerance below that noise would otherwise halve panels down to max depth.
+Each lam reports its achieved error: the sum, over the panels or the rule it
+accepted, of the larger of the disagreement and the floor, so it also covers
+the rounding of values that met the tolerance.  It exceeds tol max(1, |value|)
+where the floor is above the tolerance, and where the first coarse Gauss sum,
+which scales the tolerance of a walk, overstated |value|.
 """
 
 from __future__ import annotations
@@ -49,6 +61,10 @@ __all__ = [
 _EXP_CAP = 700.0
 _MAX_TRAP = 1 << 17
 _MAX_DEPTH = 14
+# roundoff floor: c eps times the integrand's noise mass, with c = 32, the least
+# power of two under which the builtin plane-wave sweeps converge at tol 1e-14
+# and the cardioid's at lam = 1000 (16 left the latter at max depth)
+_FLOOR = 32.0 * np.finfo(float).eps
 # points per wave call in the area oracle: 64 radii times a 131072-node
 # trapezoid would otherwise take gigabytes
 _BLOCK_POINTS = 1 << 16
@@ -68,10 +84,15 @@ class QuadOptions:
 
 @dataclass(frozen=True, slots=True)
 class SweepRecord:
+    """One lam of a sweep.  error is the achieved error of resid: lam^p times the
+    sum, over the accepted panels or rule, of the larger of the disagreement and
+    the roundoff floor (sweep_to_csv leaves it out)."""
+
     lam: float
     I_raw: complex
     resid: complex
     nodes_used: int
+    error: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,12 +137,22 @@ def _corner_nodes(slope: float, wave):
 
 
 def _lam_rows(data, lams: np.ndarray, lts: np.ndarray, g0: complex):
-    """A walk step: (nodes, rows) -> (prefactor, exponent), each of shape (rows, nodes)."""
+    """A walk step: (nodes, rows) -> (prefactor, exponent, noise).  The first two
+    have shape (rows, nodes).  The noise (coef, basis), of shapes (rows, 3) and
+    (3, nodes), is the exponent's rounding error in units of eps, coef @ basis =
+    1 + lam (|g| + |g0|) + lt |x2| (lt > 0)."""
+    coefs = np.column_stack([np.ones_like(lams), lams, lts])
 
     def step(ts: np.ndarray, rows: np.ndarray):
         x2, g, gp, x1p, v, A = data(ts)
         lam, lt = lams[rows, None], lts[rows, None]
-        return A + 1j * lam * gp * v + 1j * lt * x1p * v, lam * (g - g0) + 1j * lt * np.asarray(x2, dtype=complex)
+        x2 = np.asarray(x2, dtype=complex)
+        basis = np.empty((3, len(ts)))
+        basis[0] = 1.0
+        np.abs(g, out=basis[1])
+        basis[1] += abs(g0)
+        np.abs(x2, out=basis[2])
+        return A + 1j * lam * gp * v + 1j * lt * x1p * v, lam * (g - g0) + 1j * lt * x2, (coefs[rows], basis)
 
     return step
 
@@ -139,13 +170,14 @@ def _gauss01(n: int):
 class _Walk:
     """One quadrature pass that serves a grid of lam rows, numbered in increasing lam.
 
-    A step maps (nodes, rows) to the integrand's prefactor and exponent, arrays
-    of shape (rows, nodes), or to its values and None.  The walk visits each
-    node array once, for every row still running there, and each row keeps its
-    own tolerance, convergence test and node count, so its rule is the one it
-    would get alone.  A row that fails keeps its first error and stops, and so
-    does every larger row: the walk's error is that of its smallest failed row,
-    the one where a lam-by-lam loop would have stopped.
+    A step maps (nodes, rows) to the integrand's prefactor, exponent and noise,
+    arrays of shape (rows, nodes), or to its values, None and a noise of 1.  The
+    walk visits each node array once, for every row still running there, and
+    each row keeps its own tolerance, roundoff floor, convergence test, node
+    count and achieved error, so its rule is the one it would get alone.  A row
+    that fails keeps its first error and stops, and so does every larger row:
+    the walk's error is that of its smallest failed row, the one where a
+    lam-by-lam loop would have stopped.
     """
 
     def __init__(self):
@@ -156,43 +188,54 @@ class _Walk:
         if row < self.stop:
             self.stop, self.error = row, exc
 
-    def values(self, step, zs: np.ndarray, rows: np.ndarray, pieces: int):
-        """(rows kept, values of shape (kept, pieces, nodes per piece)).  The
-        exponent cap is checked per row and piece; no row is exponentiated past it."""
-        pre, expo = step(zs, rows)
+    def values(self, step, zs: np.ndarray, rows: np.ndarray, pieces: int, weights=None):
+        """(rows kept, values of shape (kept, pieces, nodes per piece), noise mass).
+        The noise mass of a row is sum_i weights_i |f_i| times the step's noise at
+        node i, or None without weights.  The exponent cap is checked per row and
+        piece; no row is exponentiated past it."""
+        pre, expo, (coef, basis) = step(zs, rows)
         shape = (len(rows), pieces, len(zs) // pieces)
-        if expo is None:
-            return rows, pre.reshape(shape)
-        worst = expo.real.reshape(shape).max(axis=-1)
-        over = worst > _EXP_CAP
-        if over.any():
-            for i in np.flatnonzero(over.any(axis=1)):
-                self.fail(rows[i], _overflow(worst[i, np.argmax(over[i])]))
-            keep = rows < self.stop
-            rows, pre, expo = rows[keep], pre[keep], expo[keep]
-        # E is bound to a name: numpy would compute pre * <temporary> in place as
-        # <temporary> * pre, and complex products are fused, so their order shows in the bits
-        E = np.exp(expo)
-        return rows, (pre * E).reshape((len(rows),) + shape[1:])
+        if expo is not None:
+            worst = expo.real.reshape(shape).max(axis=-1)
+            over = worst > _EXP_CAP
+            if over.any():
+                for i in np.flatnonzero(over.any(axis=1)):
+                    self.fail(rows[i], _overflow(worst[i, np.argmax(over[i])]))
+                keep = rows < self.stop
+                rows, pre, expo, coef = rows[keep], pre[keep], expo[keep], coef[keep]
+            # E is bound to a name: numpy would compute pre * <temporary> in place as
+            # <temporary> * pre, and complex products are fused, so their order shows in the bits
+            E = np.exp(expo)
+            pre = pre * E
+        F = pre.reshape((len(rows),) + shape[1:])
+        if weights is None:
+            return rows, F, None
+        # einsum, not a BLAS product: each row's sum must not depend on how many rows there are
+        return rows, F, (np.einsum("rn,kn->rk", np.abs(pre), basis * weights) * coef).sum(axis=-1)
 
     def trapezoid(self, step, tol: float, start: int, rows: np.ndarray) -> dict:
-        """{row: (integral, nodes)} from the periodic trapezoid rule on [-pi, pi],
-        doubled until two rules agree; each doubling evaluates only the new nodes."""
+        """{row: (integral, nodes, error)} from the periodic trapezoid rule on [-pi, pi],
+        doubled until two rules agree to within the tolerance or the rule's roundoff
+        floor; each doubling evaluates only the new nodes, and M keeps each row's
+        noise mass over all nodes so far."""
         n = max(start, 8)
-        rows, F = self.values(step, -math.pi + 2.0 * math.pi * np.arange(n) / n, rows, 1)
+        rows, F, M = self.values(step, -math.pi + 2.0 * math.pi * np.arange(n) / n, rows, 1, 1.0)
         F = F[:, 0]
         prev: dict = {}
         out = {}
         while rows.size:
             going = []
-            for i, (r, total) in enumerate(zip(rows.tolist(), F.sum(axis=-1))):
-                cur = 2.0 * math.pi / n * complex(total)
-                if r in prev and abs(cur - prev[r]) <= tol * max(1.0, abs(cur)):
-                    out[r] = (cur, n)
+            h = 2.0 * math.pi / n
+            for i, (r, total, m) in enumerate(zip(rows.tolist(), F.sum(axis=-1), M.tolist())):
+                cur = h * complex(total)
+                miss = abs(cur - prev[r]) if r in prev else math.inf
+                floor = _FLOOR * h * m
+                if miss <= max(tol * max(1.0, abs(cur)), floor):
+                    out[r] = (cur, n, max(miss, floor))
                 else:
                     prev[r] = cur
                     going.append(i)
-            rows, F = rows[going], F[going]
+            rows, F, M = rows[going], F[going], M[going]
             n *= 2
             if n > _MAX_TRAP:
                 for r in rows.tolist():
@@ -200,57 +243,66 @@ class _Walk:
                 break
             if rows.size:
                 # the even nodes of the 2n-rule are the n-rule's, bit for bit
-                kept, odd = self.values(step, -math.pi + 2.0 * math.pi * np.arange(1, n, 2) / n, rows, 1)
+                kept, odd, odd_mass = self.values(step, -math.pi + 2.0 * math.pi * np.arange(1, n, 2) / n, rows, 1, 1.0)
+                on = np.isin(rows, kept)
                 full = np.empty((len(kept), n), dtype=complex)
-                full[:, 0::2] = F[np.isin(rows, kept)]
+                full[:, 0::2] = F[on]
                 full[:, 1::2] = odd[:, 0]
-                rows, F = kept, full
+                rows, F, M = kept, full, M[on] + odd_mass
         return out
 
     def chain(self, step, ends, n: int, tol: float, rows: np.ndarray) -> dict:
-        """{row: (integral, nodes used)} from adaptive n-point Gauss panels along the
-        polyline `ends`, with absolute tolerance tol max(1, |rough sum|) per row."""
+        """{row: (integral, nodes used, error)} from adaptive n-point Gauss panels along
+        the polyline `ends`, with absolute tolerance tol max(1, |rough sum|) per row."""
         u, w = _gauss01(n)
         segs = list(zip(ends[:-1], ends[1:]))
-        rows, F = self.values(step, np.concatenate([a + (b - a) * u for a, b in segs]), rows, len(segs))
+        rows, F, _ = self.values(step, np.concatenate([a + (b - a) * u for a, b in segs]), rows, len(segs))
         sums = (F * w).sum(axis=-1)
         lengths = np.array([abs(b - a) for a, b in segs])
         total_len = lengths.sum()
         rough = {r: [(b - a) * complex(x) for (a, b), x in zip(segs, row)] for r, row in zip(rows.tolist(), sums)}
         abs_tol = {r: tol * max(1.0, abs(sum(vals))) for r, vals in rough.items()}
         used = {r: n * len(segs) for r in rough}
+        err = {r: 0.0 for r in rough}
         totals = {r: 0.0 + 0.0j for r in rough}
         for j, ((a, b), L) in enumerate(zip(segs, lengths)):
             live = [r for r in totals if r < self.stop]
             got = self._refine(
-                step, a, b, n, {r: rough[r][j] for r in live}, {r: abs_tol[r] * L / total_len for r in live}, 0, used
+                step, a, b, n, {r: rough[r][j] for r in live}, {r: abs_tol[r] * L / total_len for r in live}, 0, used, err
             )
             totals = {r: totals[r] + v for r, v in got.items()}
-        return {r: (v, used[r]) for r, v in totals.items() if r < self.stop}
+        return {r: (v, used[r], err[r]) for r, v in totals.items() if r < self.stop}
 
-    def _refine(self, step, a, b, n: int, whole: dict, tol: dict, depth: int, used: dict) -> dict:
+    def _refine(self, step, a, b, n: int, whole: dict, tol: dict, depth: int, used: dict, err: dict) -> dict:
         """{row: value of the panel [a, b]}, halving it until the halves of each row
-        agree with `whole`, that row's value of the panel, to within its tolerance."""
+        agree with `whole`, that row's value of the panel, to within its tolerance
+        or the halves' roundoff floor; each accepted panel adds the larger of its
+        disagreement and its floor to err."""
         if not whole:
             return {}
         u, w = _gauss01(n)
         mid = 0.5 * (a + b)
         zs = np.concatenate([a + (mid - a) * u, mid + (b - mid) * u])
-        rows, F = self.values(step, zs, np.array(list(whole)), 2)
+        # both halves are |b - a| / 2 wide
+        rows, F, M = self.values(step, zs, np.array(list(whole)), 2, np.concatenate((w, w)))
         sums = (F * w).sum(axis=-1)
+        scale = _FLOOR * 0.5 * abs(b - a)
         done = {}
         halves = []
-        for r, (s_left, s_right) in zip(rows.tolist(), sums):
+        for r, (s_left, s_right), m in zip(rows.tolist(), sums, M.tolist()):
             left = (mid - a) * complex(s_left)
             right = (b - mid) * complex(s_right)
             used[r] += 2 * n
-            if abs(whole[r] - (left + right)) <= tol[r]:
+            miss = abs(whole[r] - (left + right))
+            floor = scale * m
+            if miss <= max(tol[r], floor):
                 done[r] = left + right
+                err[r] += max(miss, floor)
             elif depth >= _MAX_DEPTH:
                 self.fail(
                     r,
                     QuadratureNotConverged(
-                        f"panel [{a:.4g}, {b:.4g}] disagrees by {abs(whole[r] - left - right):.3g} at max depth"
+                        f"panel [{a:.4g}, {b:.4g}] disagrees by {miss:.3g} at max depth"
                     ),
                 )
             else:
@@ -258,14 +310,14 @@ class _Walk:
         halves = [h for h in halves if h[0] < self.stop]
         if halves:
             half_tol = {r: 0.5 * tol[r] for r, _, _ in halves}
-            lv = self._refine(step, a, mid, n, {r: x for r, x, _ in halves}, half_tol, depth + 1, used)
-            rv = self._refine(step, mid, b, n, {r: x for r, _, x in halves if r in lv}, half_tol, depth + 1, used)
+            lv = self._refine(step, a, mid, n, {r: x for r, x, _ in halves}, half_tol, depth + 1, used, err)
+            rv = self._refine(step, mid, b, n, {r: x for r, _, x in halves if r in lv}, half_tol, depth + 1, used, err)
             done.update((r, lv[r] + x) for r, x in rv.items())
         return {r: x for r, x in done.items() if r < self.stop}
 
 
 def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: complex) -> list:
-    """[(e^(-lam g0) I(lam), nodes used)] for each lam of the increasing list `lams`,
+    """[(e^(-lam g0) I(lam), nodes used, achieved error)] for each lam of the increasing list `lams`,
     from one walk; raises the error of the smallest lam that fails."""
     n_panel = min(max(opts.nodes, 16), 64)
     if isinstance(domain, CornerDomain):
@@ -307,12 +359,13 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: comple
         return [got[0][r] for r in range(len(lams))]
     out = []
     for r in range(len(lams)):
-        total, nodes = 0.0 + 0.0j, 0
+        total, nodes, error = 0.0 + 0.0j, 0, 0.0
         for (orient, _, _), leg in zip(legs, got):
-            val, used = leg[r]
+            val, used, miss = leg[r]
             total += orient * val
             nodes += used
-        out.append((total, nodes))
+            error += miss
+        out.append((total, nodes, error))
     return out
 
 
@@ -320,7 +373,7 @@ def boundary_integral_I(domain, wave, q: float, lam: float, path=None, opts: Qua
     """The diagnostic integral I(lam), on the real interval when path is None.
 
     For the normalized value e^(-lam g0) I(lam), call lambda_sweep(..., [lam], 0.0, g0)."""
-    [(val, _)] = _integrals(domain, wave, q, path, opts or QuadOptions(), [lam], 0j)
+    [(val, _, _)] = _integrals(domain, wave, q, path, opts or QuadOptions(), [lam], 0j)
     return val
 
 
@@ -363,7 +416,8 @@ def area_integral_oracle(curve: TrigCurve, wave, q: float, lam: float, opts: Qua
     per_call = _BLOCK_POINTS // len(su)
 
     def step(ts: np.ndarray, rows: np.ndarray):
-        return np.concatenate([block(ts[i : i + per_call]) for i in range(0, len(ts), per_call)])[None, :], None
+        vals = np.concatenate([block(ts[i : i + per_call]) for i in range(0, len(ts), per_call)])
+        return vals[None, :], None, (np.ones((1, 1)), np.ones((1, len(ts))))
 
     walk = _Walk()
     got = walk.trapezoid(step, opts.tol, max(opts.nodes, 128), np.arange(1))
@@ -382,13 +436,14 @@ def lambda_sweep(domain, wave, q: float, lam_grid, p_power: float, g0: complex, 
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("lambda grid must be strictly increasing")
     records = []
-    for lam, (val, used) in zip(grid, _integrals(domain, wave, q, path, opts or QuadOptions(), grid, complex(g0))):
+    for lam, (val, used, error) in zip(grid, _integrals(domain, wave, q, path, opts or QuadOptions(), grid, complex(g0))):
         w = lam * complex(g0)
         if w.real > _EXP_CAP:
             raw = complex(math.inf, math.inf)
         else:
             raw = val * cmath.exp(w)
-        records.append(SweepRecord(lam=lam, I_raw=raw, resid=lam**p_power * val, nodes_used=used))
+        scale = lam**p_power
+        records.append(SweepRecord(lam=lam, I_raw=raw, resid=scale * val, nodes_used=used, error=scale * error))
     return records
 
 

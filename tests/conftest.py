@@ -1,6 +1,10 @@
+import math
+import random
+
+import numpy as np
 import pytest
 
-from nonscatter.curves import TrigCurve, builtin
+from nonscatter.curves import TrigCurve, _chords_cross, builtin, eval_jets
 from nonscatter.saddle import build_contour, find_saddles, level_region
 
 # heavy pieces (level-set grids, contours) are built once per session;
@@ -102,3 +106,25 @@ def grids(curves, saddles):
 @pytest.fixture(scope="session")
 def paths(curves, saddles, grids):
     return {key: build_contour(curves[key], saddles[key], grids[key]) for key in saddles}
+
+
+def fuzz_sample(seed: int, count: int) -> list:
+    """The ROADMAP fuzz sample: the first `count` curves kept from random.Random(seed).
+
+    Each draw takes the degree M in 1..4, then a1[1..M], b2[1..M], b1[1..M] and
+    a2[1..M], in that order; the m = 1 terms of a1 and b2 are uniform in [-1, 1],
+    every other term in [-0.3, 0.3], and every mean is zero.  A curve is kept
+    when its signed area is positive and no two chords of a 4096-point sample cross.
+    """
+    rng = random.Random(seed)
+    ts = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
+    kept = []
+    while len(kept) < count:
+        m = rng.randint(1, 4)
+        a1, b2 = ([rng.uniform(-1.0, 1.0) if j == 1 else rng.uniform(-0.3, 0.3) for j in range(1, m + 1)] for _ in range(2))
+        b1, a2 = ([rng.uniform(-0.3, 0.3) for _ in range(m)] for _ in range(2))
+        curve = TrigCurve(a1=(0.0, *a1), b1=(0.0, *b1), a2=(0.0, *a2), b2=(0.0, *b2), check=False)
+        (x1, x2), (x1p, x2p) = ((a.real, b.real) for a, b in eval_jets(curve, ts, order=1))
+        if np.mean(x1 * x2p - x2 * x1p) > 0 and not _chords_cross(x1, x2):
+            kept.append(curve)
+    return kept

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -182,10 +183,42 @@ def test_readme_runs_every_checked_in_scenario():
     assert sorted({name for _, name in _readme_runs()}) == names
 
 
+# sha256 of the README quadrature artifacts, which do not move with the roundoff
+# floor: every default-tolerance rule they use meets its tolerance first
+_PINNED_ARTIFACTS = {
+    ("sweep", "ellipse_c1.json"): {
+        "sweep.csv": "d8152fb500b7a182c622146a693a193223aeb8155a4ae97628d1d15b72b94151",
+        "sweep_fit.json": "f80046b7f4ba9b846e15793b60c57202f7faab16bb1e52e1edf25dbc17e6ffee",
+    },
+    ("sweep", "deltoid_c2.json"): {
+        "sweep.csv": "b73db0de4889095a5adcb6c7d358529bf466cf4be0432ea4114d99a13a0a48c2",
+        "sweep_fit.json": "b8cf240e98f3fbb45257b151bca538b361fef5505b97e7a72468e55862c52f40",
+    },
+    ("sweep", "cardioid_c2.json"): {
+        "sweep.csv": "dc44449516b661170b6ff479882003876256db7ead42724758f548856ded81a6",
+        "sweep_fit.json": "7fb08a42b20ea9683af21671621e50c01bf22a6aa05d5b97fd49813f6edea25b",
+    },
+    ("corner", "corner_pi6.json"): {
+        "corner.csv": "3fe185a10b55842b0529fbb3c2e6014c38cbe448b633dc23866ad2244c54fe24",
+        "corner.json": "778f4ce9a62aa7b3fc783c95035d473868be0f9cfc7f4ac659b590532f1ecd8b",
+    },
+    ("corner", "corner_pi4.json"): {
+        "corner.csv": "d23e5303a741257cf3506c7d380e4297bf8ed8ab9cde0a0614537eb2ad22785c",
+        "corner.json": "74d69742755c598cdffd564c9c59ca941ed8ae4f47831cfb30dd26ab59d35338",
+    },
+    ("corner", "corner_pi3.json"): {
+        "corner.csv": "72022909dab8f936ae3523e57369f70d543afa7380eee3864f1af52e2520e7bf",
+        "corner.json": "6a8b1a3483649106161bd23f5293d0224f1d4742220fb8a835dd3e7c831fd0e3",
+    },
+}
+
+
 @pytest.mark.parametrize("command,name", _readme_runs())
 def test_checked_in_scenario_runs(tmp_path, command, name):
     assert main([command, "--config", os.path.join(SCENARIOS, name), "--out", str(tmp_path)]) == 0
     assert set(os.listdir(tmp_path)) == _ARTIFACTS[command]
+    for artifact, digest in _PINNED_ARTIFACTS.get((command, name), {}).items():
+        assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest, artifact
 
 
 def test_analyze_ellipse(tmp_path):
@@ -341,6 +374,23 @@ def test_sweep_notes_overflowed_I(tmp_path, capsys, name, lams):
     assert [r[0] for r in rows if not math.isfinite(float(r[1]))] == lams
 
 
+@pytest.mark.parametrize(
+    "name, extra, lams",
+    [("cardioid_c2", ["--tol", "1e-13"], ["10.0", "20.0", "40.0", "80.0", "160.0", "320.0"]), ("ellipse_c1", [], [])],
+)
+def test_sweep_notes_lams_decided_by_the_roundoff_floor(tmp_path, capsys, name, extra, lams):
+    # below the integrand's rounding noise the quadrature stops at its roundoff
+    # floor, and the note names each lam whose achieved error exceeds tol
+    assert main(["sweep", "--config", os.path.join(SCENARIOS, f"{name}.json"), "--out", str(tmp_path), *extra]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: achieved")]
+    if not lams:
+        assert notes == []
+        return
+    (note,) = notes
+    assert note.startswith("note: achieved quadrature error exceeds tol = 1e-13 at lam = ")
+    assert re.findall(r"\d+\.\d+", note.split(" at lam = ")[1]) == lams
+
+
 def test_disk_roots_and_wronskian(tmp_path):
     rc, out = run(tmp_path, "disk", {"version": 1, "k": 1.0, "q": 4.0, "disk": {"mode": "roots", "n": 0, "k_max": 20}})
     assert rc == 0
@@ -445,21 +495,20 @@ def test_bad_levelset_grid_exits_2_without_artifacts(tmp_path, capsys):
     assert capsys.readouterr().err.count("config error: ") == len(cases)
 
 
-def test_numerical_failure_exit_code(tmp_path):
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # unnormalized on the real interval, lam x1 reaches 800 at lam = 400: OverflowRisk
     cfg = {
         "version": 1,
         "k": 1.0,
         "q": 2.0,
-        "domain": {"builtin": "cardioid"},
+        "domain": ELLIPSE,
         "wave": PLANE0,
-        "lambda_grid": [1000],
-        "p": 2.5,
-        "g0": "saddle",
-        "contour": True,
-        "quad": {"tol": 1e-13},
+        "lambda_grid": [400],
+        "p": 1.5,
     }
     rc, _ = run(tmp_path, "sweep", cfg)
     assert rc == 5
+    assert "numerical failure: exponent lam (Re g - Re g0) reaches 800.0" in capsys.readouterr().err
 
 
 def test_quad_overrides(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import types
 
@@ -22,7 +23,10 @@ from nonscatter.quad import (
     sweep_to_csv,
 )
 from nonscatter import waves as _waves
+from nonscatter.saddle import ContourPath
 from nonscatter.waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, sample as wave_sample
+
+import plane_refs
 
 PI = math.pi
 
@@ -138,10 +142,61 @@ def test_normalized_integrand_stays_moderate(curves, saddles, paths):
     assert worst_int <= 1e3 * worst_f
 
 
-def test_quadrature_refuses_tolerance_below_roundoff(curves, saddles, paths):
+def test_quadrature_stops_at_roundoff_floor(curves, saddles, paths):
+    # at lam = 1000 the integrand's rounding noise lies above tol = 1e-13: the walk
+    # stops at its roundoff floor and reports the larger error it reached
     sp, path = saddles["cardioid"], paths["cardioid"]
-    with pytest.raises(QuadratureNotConverged, match="max depth"):
-        lambda_sweep(curves["cardioid"], PlaneWave(k=1.0, alpha=0.0), 2.0, [1000.0], 0.0, sp.g0, path, QuadOptions(tol=1e-13))
+    wave = PlaneWave(k=1.0, alpha=0.0)
+    [fine] = lambda_sweep(curves["cardioid"], wave, 2.0, [1000.0], 0.0, sp.g0, path, QuadOptions(tol=1e-13))
+    [plain] = lambda_sweep(curves["cardioid"], wave, 2.0, [1000.0], 0.0, sp.g0, path)
+    assert fine.error > 1e-13 * max(1.0, abs(fine.resid))
+    assert abs(fine.resid - plain.resid) <= fine.error
+
+
+def test_plane_waves_converge_within_their_error_of_mpmath(curves, saddles, paths):
+    # every builtin plane-wave sweep converges down to the bottom of the documented
+    # tolerance range, each value within its reported error of an mpmath value
+    mp = pytest.importorskip("mpmath")
+    with open(plane_refs.PATH, encoding="utf-8") as fh:
+        refs = json.load(fh)
+    assert sorted(refs) == sorted(plane_refs.SHAPES)
+    for key, data in refs.items():
+        curve, sp, path = curves[key], saddles[key], paths[key]
+        assert complex(*map(float.fromhex, data["g0"])) == sp.g0, key
+        for alpha, want in zip(plane_refs.angles(), data["values"]):
+            wave = PlaneWave(k=plane_refs.K, alpha=alpha)
+            for tol in (1e-12, 1e-13, 1e-14):
+                recs = lambda_sweep(curve, wave, plane_refs.Q, plane_refs.SWEEP_GRID, 0.0, sp.g0, path, QuadOptions(tol=tol))
+                with mp.workdps(30):
+                    for r, (re, im) in zip(recs, want):
+                        assert abs(mp.mpc(re, im) - r.resid) <= r.error, (key, alpha, tol, r.lam)
+
+
+def test_trapezoid_stops_at_roundoff_floor_of_a_cancelling_sum():
+    # (c + cos 2t)(cos t, sin t), c = 2.794, with a two-term plane combination at
+    # lam = 6.918: int |f| exceeds |I| about 6.6e6 times, and at tol = 1e-10 the
+    # doubling trapezoid used to run to 131072 nodes and raise.  The wave is draw
+    # 131 of random.Random(4): per term re c, im c in [-1, 1], then alpha uniform.
+    # I is linear in the wave, so the reference sums mpmath plane-wave values
+    mp = pytest.importorskip("mpmath")
+    c, lam = 2.794, 6.918
+    curve = TrigCurve(a1=(0.0, c + 0.5, 0.0, 0.5), b1=(), a2=(), b2=(0.0, c - 0.5, 0.0, 0.5))
+    wave = PlaneCombo(
+        k=1.0,
+        terms=(
+            (0.7622371967967703 + 0.9599898086380427j, 2.078388129446237),
+            (0.42162125539163386 - 0.12982690356178428j, 1.3663011816854436),
+        ),
+    )
+    [rec] = lambda_sweep(curve, wave, 2.0, [lam], 0.0, 0j)
+    assert rec.error > 1e-10 * abs(rec.resid)
+    with mp.workdps(40):
+        rows, gap = plane_refs.references(
+            curve.a1, curve.b1, curve.a2, curve.b2, 0j, 512, [alpha for _, alpha in wave.terms], [lam]
+        )
+        assert gap <= 1e-20
+        want = sum(c * row[0] for (c, _), row in zip(wave.terms, rows))
+        assert abs(want - rec.resid) <= rec.error
 
 
 def test_lambda_sweep_grid_validation(curves):
@@ -268,6 +323,12 @@ def test_lambda_sweep_equals_single_lam_calls(curves, saddles, paths, kind, wave
         assert lambda_sweep(dom, wave, 2.0, [r.lam], p, g0, path, opts) == [r], (kind, wave_kind, r.lam)
 
 
+# the real interval as a contour, normalized by max x1 = 2 of the 2:1 ellipse: from
+# lam ~ 5e5 the phase lam x2 turns by radians across a depth-14 Gauss panel, so
+# the walk reaches max depth at any tolerance
+_REAL_AXIS = ContourPath((-PI, 0.0, PI), 1.0, 1)
+
+
 def _first_failure(dom, wave, grid, g0, path, opts):
     for lam in grid:
         try:
@@ -281,17 +342,16 @@ def _first_failure(dom, wave, grid, g0, path, opts):
 def test_failing_sweep_raises_the_first_failing_lam(curves, saddles, paths, kind):
     # larger lams walk alongside until the first fails, yet the sweep raises
     # exactly what a lam-by-lam loop raises: the smallest failing lam's error
+    dom, path, opts = curves["ellipse"], _REAL_AXIS, QuadOptions()
     if kind == "max_depth":
-        dom, path, g0 = curves["ellipse"], paths["ellipse"], saddles["ellipse"].g0
-        grid, opts = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0], QuadOptions(tol=1e-13)
+        g0, grid = 2.0, [1e5, 5e5, 1e6, 2e6]
     else:
-        # lam = 400 and 800 overflow at the trapezoid's first nodes; lam = 100
-        # fails later, when its sum cannot settle under cancellation, and it is
-        # the error the sweep must raise
-        dom, path, g0 = curves["ellipse"], None, 0j
-        grid, opts = [1.0, 100.0, 400.0, 800.0], QuadOptions()
+        # lam = 1e6 and 2e6 overflow at the first nodes, since g0 lies 1e-3 below
+        # max x1; lam = 5e5 fails later, at max depth, and it is the error the
+        # sweep must raise
+        g0, grid = 2.0 - 1e-3, [1.0, 5e5, 1e6, 2e6]
         with pytest.raises(OverflowRisk):
-            boundary_integral_I(dom, PlaneWave(k=1.0, alpha=0.0), 2.0, 400.0, path, opts)
+            lambda_sweep(dom, PlaneWave(k=1.0, alpha=0.0), 2.0, [1e6], 1.5, g0, path, opts)
     want = _first_failure(dom, PlaneWave(k=1.0, alpha=0.0), grid, g0, path, opts)
     assert want is not None
     with pytest.raises(type(want)) as got:
@@ -323,11 +383,12 @@ def _reachable(roots, skip: set) -> list:
 def test_failed_sweep_traceback_holds_no_panels(curves, saddles, paths, kind):
     # an error's traceback keeps its frames alive: they may hold the grid, but
     # no panel list, tree or node array larger than one Gauss rule
-    dom, wave, grid = curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), [10.0, 20.0, 40.0, 80.0, 160.0, 320.0]
+    dom, wave, opts = curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), QuadOptions()
     if kind == "max_depth":
-        path, g0, opts = paths["ellipse"], saddles["ellipse"].g0, QuadOptions(tol=1e-13)
+        path, g0, grid = _REAL_AXIS, 2.0, [1e3, 1e4, 1e5, 5e5, 1e6, 2e6]
     else:
-        path, g0, opts = None, 0j, QuadOptions()
+        # lam = 400 overflows on the real-interval trapezoid: lam x1 reaches 800
+        path, g0, grid = None, 0j, [10.0, 20.0, 40.0, 80.0, 160.0, 400.0]
     with pytest.raises((QuadratureNotConverged, OverflowRisk)) as info:
         lambda_sweep(dom, wave, 2.0, grid, 1.5, g0, path, opts)
     frames = []

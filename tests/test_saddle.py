@@ -2,7 +2,7 @@ import cmath
 import hashlib
 import math
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -31,6 +31,8 @@ from nonscatter.saddle import (
     level_region,
     validate_contour,
 )
+
+from conftest import fuzz_sample
 
 PI = math.pi
 
@@ -520,6 +522,23 @@ def test_contours_and_level_bytes_are_pinned(grids, paths):
     for key, (svg, csv) in _PINNED_SHA256.items():
         assert hashlib.sha256(grid_to_svg(grids[key], paths[key]).encode()).hexdigest() == svg, key
         assert hashlib.sha256(grid_to_csv(grids[key]).encode()).hexdigest() == csv, key
+
+
+def test_fuzz_sample_outcomes():
+    # the ROADMAP's 400-curve fuzz sample, drawn by its recorded generator, meets
+    # contour construction with the counts the ROADMAP quotes
+    outcomes = Counter()
+    for curve in fuzz_sample(12345, 400):
+        simple = [sp for sp in find_saddles(curve) if sp.simple]
+        if not simple:
+            outcomes["no simple saddle"] += 1
+            continue
+        try:
+            validate_contour(curve, build_contour(curve, simple[0], level_region(curve, simple[0])))
+            outcomes["built"] += 1
+        except (EndpointAboveLevel, NoAdmissiblePath) as e:
+            outcomes[type(e).__name__] += 1
+    assert outcomes == {"built": 234, "EndpointAboveLevel": 117, "NoAdmissiblePath": 45, "no simple saddle": 4}
 
 
 def test_fuzzed_contours_take_the_cell_path(curves, saddles, grids, monkeypatch):
