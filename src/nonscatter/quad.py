@@ -26,6 +26,11 @@ accepted, of the larger of the disagreement and the floor, so it also covers
 the rounding of values that met the tolerance.  It exceeds tol max(1, |value|)
 where the floor is above the tolerance, and where the first coarse Gauss sum,
 which scales the tolerance of a walk, overstated |value|.
+
+Neither test can see a saddle peak that falls between the nodes: where the
+first comparison's nodes nearest the peak see it below eps, its rules agree on
+nothing.  Such a lam raises QuadratureNotConverged naming the peak's width,
+unless the contour V-turns at the saddle, where the peak's two sides cancel.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ _MAX_DEPTH = 14
 # power of two under which the builtin plane-wave sweeps converge at tol 1e-14
 # and the cardioid's at lam = 1000 (16 left the latter at max depth)
 _FLOOR = 32.0 * np.finfo(float).eps
+# e^-36 is eps: nodes that see the saddle peak below that cannot see it at all
+_BLIND = -math.log(np.finfo(float).eps)
 # points per wave call in the area oracle: 64 radii times a 131072-node
 # trapezoid would otherwise take gigabytes
 _BLOCK_POINTS = 1 << 16
@@ -316,6 +323,47 @@ class _Walk:
         return {r: x for r, x in done.items() if r < self.stop}
 
 
+def _peak(curve: TrigCurve, path, lam_max: float, n_trap: int, n_panel: int) -> tuple[float, float]:
+    """(kappa, d) of the peak of e^(lam (g - g0)) on the path, or (0, 0) when no lam
+    up to lam_max can hide it or hiding it loses nothing.  Re g falls as -kappa (t - t*)^2 / 2 from its top t*,
+    so the peak is 1 / sqrt(lam kappa) wide, and d is the larger distance from t* to
+    the nearest node on either side of it in the walk's first comparison: the
+    halved panels next to the saddle waypoint of a contour (each side must see the
+    peak), or the trapezoid rule of 2 n_trap nodes on the real interval, where t*
+    is the top of Re g."""
+    if path is None:
+        t_top, d_max = 0.0, math.pi / n_trap
+    else:
+        u0 = _gauss01(n_panel)[0][0]  # the first Gauss node, as a fraction of its panel
+        t_top, i = path.t0, path.i_saddle
+        sides = [w - t_top for w in (path.waypoints[i - 1], path.waypoints[i + 1])]
+        if (sides[0] * sides[1].conjugate()).real > 0.0:
+            # a V-turn: both sides leave t0 into one valley, so their peaks cancel
+            # and a rule blind to both loses nothing
+            return 0.0, 0.0
+        d_max = 0.5 * u0 * max(abs(v) for v in sides)
+    # kappa <= |g''| <= the sum of the Laurent coefficients of x'' times e^(M |Im t|)
+    table = curve.laurent
+    bound = np.abs(table[4:6]).sum() * math.exp(table.shape[1] // 2 * abs(complex(t_top).imag))
+    if 0.5 * lam_max * bound * d_max**2 <= _BLIND:
+        return 0.0, 0.0
+    if path is not None:
+        x1, x2 = eval_jets(curve, [t_top], order=2)[2]
+        g2 = complex(x1[0] + 1j * x2[0])
+        # along the side v, Re g falls at the rate -Re(g'' v^2) / |v|^2
+        peaks = [(-(g2 * v * v).real / abs(v) ** 2, 0.5 * u0 * abs(v)) for v in sides]
+        return max(peaks, key=lambda kd: kd[0] * kd[1] ** 2)
+    ts = -math.pi + 2.0 * math.pi * np.arange(n_trap) / n_trap
+    (x1, _), (x1p, _), (x1pp, _) = eval_jets(curve, ts, order=2)
+    k = int(np.argmax(x1.real))
+    kappa = -float(x1pp[k].real)
+    if kappa <= 0.0:
+        return 0.0, 0.0
+    # one Newton step from the top node to t*; d is the spacing less the distance to the nearest node
+    off = (ts[k] + float(x1p[k].real) / kappa + math.pi) / d_max % 1.0
+    return kappa, d_max * (1.0 - min(off, 1.0 - off))
+
+
 def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: complex) -> list:
     """[(e^(-lam g0) I(lam), nodes used, achieved error)] for each lam of the increasing list `lams`,
     from one walk; raises the error of the smallest lam that fails."""
@@ -336,8 +384,18 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: comple
         raise TypeError(f"path must be None or a ContourPath, got {type(path).__name__}")
 
     walk = _Walk()
+    kappa, d = 0.0, 0.0
+    if isinstance(domain, TrigCurve) and lams:
+        kappa, d = _peak(domain, path, max(lams), max(opts.nodes, 64), n_panel)
     lts = []
     for row, lam in enumerate(lams):
+        if 0.5 * lam * kappa * d * d > _BLIND:
+            width = 1.0 / math.sqrt(lam * kappa)
+            walk.fail(row, QuadratureNotConverged(
+                f"at lam = {lam!r} the saddle peak is {width:.3g} wide, but the first rule's nodes "
+                f"nearest it lie {d:.3g} ({d / width:.3g} widths) from it: the rule cannot see it"
+            ))
+            break
         try:
             lts.append(lambda_tilde(SpectralParams(k=wave.k, q=q, lam=lam)))
         except ValueError as e:

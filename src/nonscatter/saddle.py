@@ -408,6 +408,42 @@ def _bfs_path(mask: np.ndarray, source, target) -> list | None:
     of mask, least in step order; None when target is not reached.
 
     Steps go up, down, left, right: (i-1, j), (i+1, j), (i, j-1), (i, j+1).
+    The search is bounded: it runs on the cells c with |c - source|_1 +
+    |c - target|_1 <= B, from B = L + max(64, L // 2) with L = |source -
+    target|_1, and doubles the slack B - L until the path it returns has at
+    most B steps; the whole grid is the last case.  That path is the one the
+    whole grid gives.  Every cell of a shortest path of length D <= B meets the
+    bound, so such a cell keeps its true distance to target, and a neighbour
+    of it lies at restricted distance d exactly when it lies at true distance
+    d.  The walk below therefore takes the same steps.
+    """
+    if source == target:
+        return [source]
+    if not mask[target]:
+        return None
+    ns, nr = mask.shape
+    (ai, aj), (bi, bj) = source, target
+    span_i, span_j = abs(ai - bi), abs(aj - bj)
+    # |c - source|_1 + |c - target|_1 splits into a row part and a column part
+    rows, cols = np.arange(ns), np.arange(nr)
+    di = np.abs(rows - ai) + np.abs(rows - bi)
+    dj = np.abs(cols - aj) + np.abs(cols - bj)
+    slack = max(64, (span_i + span_j) // 2)
+    while True:
+        bound = span_i + span_j + slack
+        whole = di.max() + dj.max() <= bound
+        i0, i1 = np.flatnonzero(di <= bound - span_j)[[0, -1]] + (0, 1)
+        j0, j1 = np.flatnonzero(dj <= bound - span_i)[[0, -1]] + (0, 1)
+        sub = mask[i0:i1, j0:j1] & (di[i0:i1, None] + dj[None, j0:j1] <= bound)
+        path = _search(sub, (ai - i0, aj - j0), (bi - i0, bj - j0))
+        if whole or (path is not None and len(path) <= bound + 1):
+            return None if path is None else [(i + i0, j + j0) for i, j in path]
+        slack *= 2
+
+
+def _search(mask: np.ndarray, source, target) -> list | None:
+    """_bfs_path on all of mask, for a target that is True and not the source.
+
     A FIFO queue search from source finds this path: each of its levels holds
     the cells in the lexicographic order of their step sequences, so a cell's
     parent is the one on its least shortest path.  Distances to target grow
@@ -415,8 +451,6 @@ def _bfs_path(mask: np.ndarray, source, target) -> list | None:
     takes at each cell the first step that lowers the distance.  The source
     counts as open (a queue search expands it either way).
     """
-    if source == target:
-        return [source]
     ns, nr = mask.shape
     w = nr + 2  # a closed one-cell border keeps flat steps inside the grid
     free = np.zeros((ns + 2, w), dtype=bool)
@@ -424,29 +458,28 @@ def _bfs_path(mask: np.ndarray, source, target) -> list | None:
     free = free.ravel()
     src = (source[0] + 1) * w + source[1] + 1
     tgt = (target[0] + 1) * w + target[1] + 1
-    if not free[tgt]:
-        return None
     free[src] = True
     free[tgt] = False
     dist = np.full(free.size, -1, dtype=np.int32)
     dist[tgt] = 0
     # stamp[c] == k marks cand[k] as the last copy of cell c among the candidates
-    stamp = np.empty(free.size, dtype=np.int32)
-    steps = np.array([-w, w, -1, 1])
+    stamp = np.empty(free.size, dtype=np.intp)
+    steps = np.array([[-w], [w], [-1], [1]])
     frontier = np.array([tgt])
     level = 0
     while dist[src] < 0:
-        cand = (frontier[:, None] + steps).ravel()
+        cand = (steps + frontier).ravel()
         cand = cand[free[cand]]
         if not cand.size:
             return None
-        k = np.arange(cand.size, dtype=np.int32)
+        k = np.arange(cand.size)
         stamp[cand] = k
         frontier = cand[stamp[cand] == k]
         free[frontier] = False
         level += 1
         dist[frontier] = level
     out = [src]
+    dist = memoryview(dist)  # plain int reads for the walk
     for d in range(level - 1, -1, -1):
         here = out[-1]
         out.append(next(c for c in (here - w, here + w, here - 1, here + 1) if dist[c] == d))
@@ -614,59 +647,74 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
         raise NoAdmissiblePath("no steepest-descent probe pair connects the endpoints")
     p_exit, p_entry = pe[0], pn[0]
 
+    last_fail = None  # the last sample found above the margin, on the leg being built
+
     def first_clear(a: complex, ends) -> int | None:
         """Index of the first b in ends whose chord from a is clear, or None.
 
-        A chord is clear when its samples keep out of the 0.98 _RHO disc and
-        have Re g - Re g(t0) <= -0.999 delta.  The chords are sampled as one
-        array, each at the points np.linspace(0, 1, n) puts on it.  Most fail
-        somewhere along their length, so every 8th sample of all of them goes
-        first, in one batch; then the survivors are checked in full, in order.
+        A chord is clear when its samples, the n points np.linspace(0, 1, n)
+        puts on it, keep out of the 0.98 _RHO disc and have Re g - Re g(t0) <=
+        -0.999 delta.  The sample nearest t0 is one of the two around its
+        projection on the chord.  Neighbouring chords tend to fail at the same
+        place, so every chord is first tested, in one batch, at its sample
+        nearest the last failing one; the first survivor is then checked in
+        full, and where it fails screens the rest.  Only samples are tested,
+        so the answer is the one a check of every sample in order gives.
         """
-        n = np.array([int(abs(b - a) / h) * 2 + 3 for b in ends])
-        stop = np.cumsum(n)
-        start = stop - n
-        k = np.arange(stop[-1]) - np.repeat(start, n)
-        y = k * np.repeat(1.0 / (n - 1), n)
-        y[stop - 1] = 1.0
-        seg = a + np.repeat(np.array(ends, dtype=complex) - a, n) * y
-        near = np.logical_or.reduceat(np.abs(seg - t0) < 0.98 * _RHO, start)
-        if near.all():
-            return None
-        ok = ~near
-        sparse = (k % 8 == 0) & np.repeat(ok, n)
-        m = (n[ok] + 7) // 8  # samples 0, 8, 16, ... of each chord kept
-        below = _re_g_many(curve, seg[sparse]) - re_g0 <= -0.999 * delta
-        ok[ok] = np.logical_and.reduceat(below, np.cumsum(m) - m)
-        for i in np.flatnonzero(ok):
-            if (_re_g_many(curve, seg[start[i]:stop[i]]) - re_g0 <= -0.999 * delta).all():
-                return int(i)
+        nonlocal last_fail
+        e = np.asarray(ends, dtype=complex) - a
+        n = (np.abs(e) / h).astype(int) * 2 + 3
+        inv = 1.0 / (n - 1)
+
+        def sample(k, c):
+            # sample k[i] of chord c[i]
+            y = k * inv[c]
+            y[k == n[c] - 1] = 1.0
+            return a + e[c] * y
+
+        def place(p, c):
+            # where p projects on chord c, in samples from its start
+            return ((p - a) * e[c].conjugate()).real / np.abs(e[c]) ** 2 * (n[c] - 1)
+
+        live = np.arange(len(e))
+        k = np.clip(np.floor(place(t0, live)), 0, n - 2).astype(int)
+        far = np.minimum(np.abs(sample(k, live) - t0), np.abs(sample(k + 1, live) - t0)) >= 0.98 * _RHO
+        live = live[far]
+        while live.size:
+            if last_fail is not None:
+                k = np.clip(np.rint(place(last_fail, live)), 0, n[live] - 1).astype(int)
+                live = live[_re_g_many(curve, sample(k, live)) - re_g0 <= -0.999 * delta]
+                if not live.size:
+                    break
+            c = live[0]
+            y = np.arange(n[c]) * inv[c]
+            y[-1] = 1.0
+            ts = a + e[c] * y
+            exc = _re_g_many(curve, ts) - re_g0
+            if (exc <= -0.999 * delta).all():
+                return int(c)
+            last_fail = ts[np.argmax(exc)]
+            live = live[1:]
         return None
 
     def leg(a: complex, b: complex, cell_a, cell_b) -> list:
-        """The chord a -> b when it is clear, else the smoothed shortest cell path between."""
+        """The chord a -> b when it is clear, else the shortest cell path between,
+        smoothed into the longest clear chords: from each point, the farthest
+        path point whose chord clears (the next point when none does)."""
+        nonlocal last_fail
+        last_fail = None
         if first_clear(a, [b]) == 0:
             return [a, b]
-        pts = [a] + [complex(r[j], s[i]) for i, j in _bfs_path(mask, cell_a, cell_b)] + [b]
-
-        def farthest(i: int, j: int) -> int:
-            # the largest index <= j whose chord from pts[i] is clear, tried in
-            # blocks of 1, 2, 4, ... candidates from j down; i + 1 when none is
-            size = 1
-            while j > i + 1:
-                stop = max(j - size, i + 1)
-                k = first_clear(pts[i], pts[j:stop:-1])
-                if k is not None:
-                    return j - k
-                j, size = stop, 2 * size
-            return i + 1
-
+        cells = np.array(_bfs_path(mask, cell_a, cell_b))
+        pts = np.empty(len(cells) + 2, dtype=complex)
+        pts[0], pts[-1] = a, b
+        pts.real[1:-1], pts.imag[1:-1] = r[cells[:, 1]], s[cells[:, 0]]
         out = [a]
-        i = farthest(0, len(pts) - 2)  # the chord pts[0] -> pts[-1] is not clear
-        out.append(pts[i])
+        i, j = 0, len(pts) - 2  # the chord pts[0] -> pts[-1] is not clear
         while i < len(pts) - 1:
-            i = farthest(i, len(pts) - 1)
-            out.append(pts[i])
+            k = first_clear(pts[i], pts[j:i + 1:-1])
+            i, j = i + 1 if k is None else j - k, len(pts) - 1
+            out.append(complex(pts[i]))
         return out
 
     leg_in = leg(-math.pi + 0j, p_entry, start, pn[1])

@@ -172,6 +172,43 @@ def test_plane_waves_converge_within_their_error_of_mpmath(curves, saddles, path
                         assert abs(mp.mpc(re, im) - r.resid) <= r.error, (key, alpha, tol, r.lam)
 
 
+@pytest.mark.parametrize(
+    "kind, lam, width, ok_lam, ok_resid",
+    [
+        # the 2:1 ellipse's contour, where C1 = -1.4807 + 1.6262i: the 32-node rules
+        # on the halved panels next to the saddle lie 8.2e-5 from it
+        ("contour", 1e10, 7.6e-6, 1e6, -1.48073 + 1.62623j),
+        ("contour", 1e12, 7.6e-7, 1e6, -1.48073 + 1.62623j),
+        # the deltoid's real interval, normalized by lam^2.5 e^(-3 lam): the
+        # 128-node trapezoid's nodes next to the cusp at t = 0 lie 0.049 from it
+        ("interval", 1e5, 1.29e-3, 1e3, -0.5063 + 0.0735j),
+        ("interval", 1e7, 1.29e-4, 1e3, -0.5063 + 0.0735j),
+    ],
+)
+def test_sweep_raises_where_its_first_rule_cannot_see_the_peak(curves, saddles, paths, kind, lam, width, ok_lam, ok_resid):
+    # these sweeps used to return a confident zero (2.7e-12 with error 3.9e-8, 0
+    # with error 0, 1.1e-298, 0): every node of the first rules sees the saddle
+    # peak below roundoff, so the rules agree on nothing
+    wave = PlaneWave(k=1.0, alpha=0.0)
+    if kind == "contour":
+        domain, p, g0, path = curves["ellipse"], 1.5, saddles["ellipse"].g0, paths["ellipse"]
+    else:
+        domain, p, g0, path = curves["deltoid"], 2.5, 3.0, None
+    [ok] = lambda_sweep(domain, wave, 2.0, [ok_lam], p, g0, path)
+    assert abs(ok.resid - ok_resid) <= 1e-4 + ok.error
+    with pytest.raises(QuadratureNotConverged, match=rf"lam = {lam!r} the saddle peak is {width:.3g} wide"):
+        lambda_sweep(domain, wave, 2.0, [ok_lam, lam], p, g0, path)
+
+
+def test_v_turn_sweep_keeps_its_blind_value(curves, saddles, paths):
+    # at the cardioid's V-turn both sides of the saddle leave into one valley and
+    # their peaks cancel, so the rules' blindness to them costs nothing: the sweep
+    # still returns the decayed value, within its error of zero
+    wave = PlaneWave(k=1.0, alpha=0.3)
+    [rec] = lambda_sweep(curves["cardioid"], wave, 2.0, [6e10], 2.0, saddles["cardioid"].g0, paths["cardioid"])
+    assert abs(rec.resid) <= rec.error < 1e-30
+
+
 def test_trapezoid_stops_at_roundoff_floor_of_a_cancelling_sum():
     # (c + cos 2t)(cos t, sin t), c = 2.794, with a two-term plane combination at
     # lam = 6.918: int |f| exceeds |I| about 6.6e6 times, and at tol = 1e-10 the

@@ -524,21 +524,33 @@ def test_contours_and_level_bytes_are_pinned(grids, paths):
         assert hashlib.sha256(grid_to_csv(grids[key]).encode()).hexdigest() == csv, key
 
 
+# sha256 of the float.hex of every contour the 400-curve fuzz sample builds, in
+# sample order: per path its waypoints (real, imag), its margin and i_saddle
+_FUZZ_CONTOURS_SHA256 = "41824016a3a4624dca01304c0ea7fdaba1835cb1d9414d606bc3c0aca0f13d4f"
+
+
 def test_fuzz_sample_outcomes():
     # the ROADMAP's 400-curve fuzz sample, drawn by its recorded generator, meets
-    # contour construction with the counts the ROADMAP quotes
+    # contour construction with the counts the ROADMAP quotes, and every contour
+    # it builds keeps its bits
     outcomes = Counter()
+    digest = hashlib.sha256()
     for curve in fuzz_sample(12345, 400):
         simple = [sp for sp in find_saddles(curve) if sp.simple]
         if not simple:
             outcomes["no simple saddle"] += 1
             continue
         try:
-            validate_contour(curve, build_contour(curve, simple[0], level_region(curve, simple[0])))
+            path = build_contour(curve, simple[0], level_region(curve, simple[0]))
+            validate_contour(curve, path)
             outcomes["built"] += 1
         except (EndpointAboveLevel, NoAdmissiblePath) as e:
             outcomes[type(e).__name__] += 1
+            continue
+        words = [x.hex() for w in path.waypoints for x in (w.real, w.imag)] + [path.margin.hex(), str(path.i_saddle)]
+        digest.update((" ".join(words) + "\n").encode())
     assert outcomes == {"built": 234, "EndpointAboveLevel": 117, "NoAdmissiblePath": 45, "no simple saddle": 4}
+    assert digest.hexdigest() == _FUZZ_CONTOURS_SHA256
 
 
 def test_fuzzed_contours_take_the_cell_path(curves, saddles, grids, monkeypatch):
@@ -740,6 +752,83 @@ def test_bfs_path_to_any_reached_cell_matches_deque_bfs(case):
     mask, a, _ = case
     for c in _deque_bfs(mask, a):
         assert _bfs_path(mask, a, c) == _deque_path(mask, a, c)
+
+
+@st.composite
+def _walled_mask_and_ends(draw):
+    # walls across a 60-100 by 140-180 cell grid every few rows, each with a gap,
+    # so that the shortest path runs several times the L1 distance.  In a
+    # serpentine the gaps sit at alternate ends and the ends lie beyond the first
+    # and last walls, at least 66 columns from either side: |c - a|_1 + |c - b|_1
+    # then reaches more than 128 past L1(a, b) on the grid, beyond the first two
+    # bounds, and every path is longer than its largest value, so only the whole
+    # grid holds one.  Otherwise the gaps fall at random, walls get stray holes
+    # and 3 % of the cells close.  One wall may be sealed, and the mask may be
+    # transposed (a comb of vertical walls).
+    ns, nr = draw(st.integers(60, 100)), draw(st.integers(140, 180))
+    gap = draw(st.integers(3, 6))
+    serpentine = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.ones((ns, nr), dtype=bool)
+    walls = range(gap, ns - gap, gap)
+    for n, i in enumerate(walls):
+        mask[i] = False
+        width = int(rng.integers(1, 4))
+        at = (0 if n % 2 else nr - width) if serpentine else int(rng.integers(0, nr - width + 1))
+        mask[i, at:at + width] = True
+        if not serpentine:
+            mask[i, rng.integers(0, nr, 2)] = rng.random(2) < 0.3
+    sealed = draw(st.booleans()) and draw(st.booleans())
+    if sealed:
+        mask[walls[int(rng.integers(0, len(walls)))]] = False
+    if serpentine:
+        a = (int(rng.integers(0, gap)), int(rng.integers(66, nr - 66)))
+        b = (int(rng.integers(walls[-1] + 1, ns)), int(rng.integers(66, nr - 66)))
+    else:
+        mask &= rng.random((ns, nr)) > 0.03
+        a, b = ((int(rng.integers(0, ns)), int(rng.integers(0, nr))) for _ in range(2))
+    if draw(st.booleans()):
+        mask, a, b = mask.T.copy(), a[::-1], b[::-1]
+    return mask, a, b, serpentine and not sealed
+
+
+def _double_wall():
+    # a = (50, 45) and b = (50, 55) either side of two walls over rows 10-90 at
+    # columns 49 and 51.  Through the gaps at rows 20 and 80 the path is 130 steps
+    # long and lies inside the first bound, 74; round the walls it is 92 steps
+    # and does not.  Only the second bound finds the shorter one
+    mask = np.ones((100, 100), dtype=bool)
+    mask[10:91, [49, 51]] = False
+    mask[20, 49] = mask[80, 51] = True
+    return mask, (50, 45), (50, 55), False
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walled_mask_and_ends())
+@example(_double_wall())
+def test_bounded_search_widens_to_the_whole_grid(case):
+    # the search starts on the cells near the segment a -> b and doubles its bound
+    # until the path fits; each path must still be the queue search's
+    mask, a, b, long_way = case
+    searched = []
+    search = saddle._search
+
+    def spy(sub, *ends):
+        searched.append(sub.shape)
+        return search(sub, *ends)
+
+    saddle._search = spy
+    try:
+        got = _bfs_path(mask, a, b)
+    finally:
+        saddle._search = search
+    want = _deque_path(mask, a, b)
+    assert got == want
+    if want is None and mask[b]:
+        assert searched[-1] == mask.shape  # only the whole grid can tell that b is out of reach
+    if long_way and want is not None:
+        # a serpentine path outruns two bounds at least before the whole grid holds it
+        assert len(searched) >= 3 and searched[-1] == mask.shape, (len(want), searched)
 
 
 @settings(max_examples=100, deadline=None)
