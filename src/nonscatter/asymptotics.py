@@ -211,14 +211,13 @@ def _line_coeffs(wave, axis: int, r: float, orders: int, grad_component: int | N
     return _ring_coeffs(vals, r, orders)
 
 
-def corner_constants(c: CornerDomain, wave, k: float, q: float) -> CornerConstants:
-    """Per-leg amplitudes at a corner opening 2*theta plus the verdict constant C.
+def corner_constants(c: CornerDomain, wave, q: float) -> CornerConstants:
+    """Per-leg amplitudes at a corner opening 2*theta plus the verdict constant C, at k = wave.k.
 
     Second partials of u at the origin come from Cauchy differentiation along
     the two coordinate lines and of the x2-derivative along the x1 line.
     """
-    if abs(wave.k - k) > 1e-12 * max(1.0, k):
-        raise ValueError("wavenumber argument disagrees with the wave model")
+    k = wave.k
     m = math.tan(c.theta)
     u0 = _waves.value(wave, (0.0, 0.0))
     a_line = _line_coeffs(wave, 0, R_CAUCHY, 3)

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .asymptotics import (
     _pair,
@@ -51,7 +51,7 @@ from .quad import (
     lambda_sweep,
     sweep_to_csv,
 )
-from .saddle import _GRID_NR, _GRID_NS, build_contour, find_saddles, grid_to_csv, grid_to_svg, level_region, validate_contour
+from .saddle import build_contour, find_saddles, grid_to_csv, grid_to_svg, level_region, validate_contour
 from .waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, WaveModel, value as wave_value
 
 __all__ = ["Scenario", "parse_scenario", "main"]
@@ -62,7 +62,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_NO_PATH = 4
 EXIT_NUMERICAL = 5
 
-_DEFAULT_LEVELSET = (None, _GRID_NR, _GRID_NS)
 # what a malformed block raises while it is decoded; the guard in _block
 # turns each into a ConfigError that names the block
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, InvalidShapeParams)
@@ -87,10 +86,9 @@ class Scenario:
     q: float
     lambda_grid: tuple
     p_power: float | None
-    g0: object  # "zero" | "saddle" | complex
+    g0: object  # "saddle" | complex
     quad: QuadOptions
     contour: bool
-    levelset: tuple  # (rect or None, nr, ns)
     disk: DiskMode | None
     out: str | None
 
@@ -185,26 +183,17 @@ def _decode_disk(d) -> DiskMode:
 
 def _decode_g0(v):
     if v is None:
-        return "zero"
+        return 0j
     return "saddle" if v == "saddle" else _complex(v)
 
 
 def _decode_quad(qd) -> QuadOptions:
-    _known(qd, "nodes", "tol")
-    return QuadOptions(nodes=_integer(qd.get("nodes", 32)), tol=float(qd.get("tol", 1e-10)))
-
-
-def _decode_levelset(ls) -> tuple:
-    _known(ls, "rect", "nr", "ns")
-    rect = ls.get("rect")
-    if rect is not None:
-        (r_lo, r_hi), (s_lo, s_hi) = rect
-        rect = ((_real(r_lo), _real(r_hi)), (_real(s_lo), _real(s_hi)))
-    return (rect, _integer(ls.get("nr", _GRID_NR)), _integer(ls.get("ns", _GRID_NS)))
+    _known(qd, "tol")
+    return QuadOptions(tol=float(qd.get("tol", 1e-10)))
 
 
 _REQUIRED = object()
-_TOP_KEYS = ("version", "k", "q", "domain", "wave", "lambda_grid", "p", "g0", "quad", "contour", "levelset", "disk", "out")
+_TOP_KEYS = ("version", "k", "q", "domain", "wave", "lambda_grid", "p", "g0", "quad", "contour", "disk", "out")
 
 
 def _block(cfg: dict, key: str, decode, default=_REQUIRED):
@@ -241,10 +230,9 @@ def parse_scenario(cfg: dict) -> Scenario:
         q=q,
         lambda_grid=_block(cfg, "lambda_grid", _reals, ()),
         p_power=_block(cfg, "p", _optional(_real), None),
-        g0=_block(cfg, "g0", _decode_g0, "zero"),
+        g0=_block(cfg, "g0", _decode_g0, 0j),
         quad=_block(cfg, "quad", _decode_quad, QuadOptions()),
         contour=bool(cfg.get("contour", False)),
-        levelset=_block(cfg, "levelset", _decode_levelset, _DEFAULT_LEVELSET),
         disk=_block(cfg, "disk", _optional(_decode_disk), None),
         out=_block(cfg, "out", _optional(str), None),
     )
@@ -288,9 +276,8 @@ def _dominant_saddle(curve: TrigCurve):
     return saddles[0]
 
 
-def _grid_and_path(s: Scenario, curve: TrigCurve, sp):
-    rect, nr, ns = s.levelset
-    grid = level_region(curve, sp, rect=rect, nr=nr, ns=ns)
+def _grid_and_path(curve: TrigCurve, sp):
+    grid = level_region(curve, sp)
     path = build_contour(curve, sp, grid)
     validate_contour(curve, path)
     return grid, path
@@ -300,7 +287,7 @@ def cmd_analyze(s: Scenario, out: str | None) -> int:
     curve = _require_curve(s)
     wave = build_wave(s)
     sp = _dominant_saddle(curve)
-    _, path = _grid_and_path(s, curve, sp)
+    _, path = _grid_and_path(curve, sp)
     rep = asym_report(curve, wave, s.q, sp, path)
     _emit(out, "report.json", _json_text(report_to_dict(rep)))
     return EXIT_OK if rep.verdict != "Inconclusive" else EXIT_INCONCLUSIVE
@@ -313,16 +300,15 @@ def cmd_sweep(s: Scenario, out: str | None) -> int:
         raise ConfigError("sweep needs a lambda_grid")
     if s.p_power is None:
         raise ConfigError("sweep needs the normalization power p")
-    path = None
-    if s.g0 == "saddle" or s.contour:
+    g0, path = s.g0, None
+    if g0 == "saddle" or s.contour:
         if not isinstance(dom, TrigCurve):
             raise ConfigError("saddle normalization needs a closed curve")
         sp = _dominant_saddle(dom)
-        g0 = sp.g0 if s.g0 == "saddle" else (0j if s.g0 == "zero" else s.g0)
+        if g0 == "saddle":
+            g0 = sp.g0
         if s.contour:
-            _, path = _grid_and_path(s, dom, sp)
-    else:
-        g0 = 0j if s.g0 == "zero" else s.g0
+            _, path = _grid_and_path(dom, sp)
     records = lambda_sweep(dom, wave, s.q, s.lambda_grid, s.p_power, g0, path, s.quad)
     _emit(out, "sweep.csv", sweep_to_csv(records))
     # e^{lam g0} can overflow a double while the normalized residual stays finite
@@ -347,8 +333,7 @@ def cmd_sweep(s: Scenario, out: str | None) -> int:
 def cmd_levelset(s: Scenario, out: str | None) -> int:
     curve = _require_curve(s)
     sp = _dominant_saddle(curve)
-    rect, nr, ns = s.levelset
-    grid = level_region(curve, sp, rect=rect, nr=nr, ns=ns)
+    grid = level_region(curve, sp)
     try:
         path = build_contour(curve, sp, grid)
         validate_contour(curve, path)
@@ -397,7 +382,7 @@ def cmd_corner(s: Scenario, out: str | None) -> int:
     if not isinstance(dom, CornerDomain):
         raise ConfigError("corner command needs a corner domain")
     wave = build_wave(s)
-    cc = corner_constants(dom, wave, s.k, s.q)
+    cc = corner_constants(dom, wave, s.q)
     if s.lambda_grid:
         records = lambda_sweep(dom, wave, s.q, s.lambda_grid, 2.0, 0j, None, s.quad)
         _emit(out, "corner.csv", sweep_to_csv(records))
@@ -454,8 +439,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--nodes", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
     return parser
 
 
@@ -469,12 +452,6 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}")
         scenario = parse_scenario(cfg)
-        overrides = {key: v for key, v in (("nodes", args.nodes), ("tol", args.tol)) if v is not None}
-        if overrides:
-            try:
-                scenario = replace(scenario, quad=replace(scenario.quad, **overrides))
-            except ValueError as e:
-                raise ConfigError(f"bad quad override: {e}")
         out = args.out if args.out is not None else scenario.out
         if out is not None:
             os.makedirs(out, exist_ok=True)

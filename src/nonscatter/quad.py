@@ -27,7 +27,7 @@ the rounding of values that met the tolerance.  It exceeds tol max(1, |value|)
 where the floor is above the tolerance, and where the first coarse Gauss sum,
 which scales the tolerance of a walk, overstated |value|.
 
-Neither test can see a saddle peak that falls between the nodes: where the
+Neither test can see a saddle or corner peak between the nodes: where the
 first comparison's nodes nearest the peak see it below eps, its rules agree on
 nothing.  Such a lam raises QuadratureNotConverged naming the peak's width,
 unless the contour V-turns at the saddle, where the peak's two sides cancel.
@@ -64,13 +64,15 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0
+_PANEL = 32  # Gauss nodes per panel
+_TRAP = 64  # nodes of the first trapezoid rule (twice that for the area oracle)
 _MAX_TRAP = 1 << 17
 _MAX_DEPTH = 14
 # roundoff floor: c eps times the integrand's noise mass, with c = 32, the least
 # power of two under which the builtin plane-wave sweeps converge at tol 1e-14
 # and the cardioid's at lam = 1000 (16 left the latter at max depth)
 _FLOOR = 32.0 * np.finfo(float).eps
-# e^-36 is eps: nodes that see the saddle peak below that cannot see it at all
+# e^-36 is eps: nodes that see a peak below that cannot see it at all
 _BLIND = -math.log(np.finfo(float).eps)
 # points per wave call in the area oracle: 64 radii times a 131072-node
 # trapezoid would otherwise take gigabytes
@@ -79,12 +81,9 @@ _BLOCK_POINTS = 1 << 16
 
 @dataclass(frozen=True)
 class QuadOptions:
-    nodes: int = 32
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not 8 <= self.nodes <= 4096:
-            raise ValueError(f"nodes must lie in [8, 4096], got {self.nodes}")
         if not 1e-14 <= self.tol <= 1e-4:
             raise ValueError(f"tol must lie in [1e-14, 1e-4], got {self.tol}")
 
@@ -164,14 +163,12 @@ def _lam_rows(data, lams: np.ndarray, lts: np.ndarray, g0: complex):
     return step
 
 
-_GAUSS_CACHE: dict = {}
-
-
 def _gauss01(n: int):
-    if n not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GAUSS_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GAUSS_CACHE[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_PANEL_U, _PANEL_W = _gauss01(_PANEL)  # the panels' nodes and weights on [0, 1]
 
 
 class _Walk:
@@ -220,12 +217,11 @@ class _Walk:
         # einsum, not a BLAS product: each row's sum must not depend on how many rows there are
         return rows, F, (np.einsum("rn,kn->rk", np.abs(pre), basis * weights) * coef).sum(axis=-1)
 
-    def trapezoid(self, step, tol: float, start: int, rows: np.ndarray) -> dict:
-        """{row: (integral, nodes, error)} from the periodic trapezoid rule on [-pi, pi],
-        doubled until two rules agree to within the tolerance or the rule's roundoff
-        floor; each doubling evaluates only the new nodes, and M keeps each row's
-        noise mass over all nodes so far."""
-        n = max(start, 8)
+    def trapezoid(self, step, tol: float, n: int, rows: np.ndarray) -> dict:
+        """{row: (integral, nodes, error)} from the periodic trapezoid rule on [-pi, pi]
+        of n nodes, doubled until two rules agree to within the tolerance or the rule's
+        roundoff floor; each doubling evaluates only the new nodes, and M keeps each
+        row's noise mass over all nodes so far."""
         rows, F, M = self.values(step, -math.pi + 2.0 * math.pi * np.arange(n) / n, rows, 1, 1.0)
         F = F[:, 0]
         prev: dict = {}
@@ -258,10 +254,10 @@ class _Walk:
                 rows, F, M = kept, full, M[on] + odd_mass
         return out
 
-    def chain(self, step, ends, n: int, tol: float, rows: np.ndarray) -> dict:
-        """{row: (integral, nodes used, error)} from adaptive n-point Gauss panels along
-        the polyline `ends`, with absolute tolerance tol max(1, |rough sum|) per row."""
-        u, w = _gauss01(n)
+    def chain(self, step, ends, tol: float, rows: np.ndarray) -> dict:
+        """{row: (integral, nodes used, error)} from adaptive Gauss panels along the
+        polyline `ends`, with absolute tolerance tol max(1, |rough sum|) per row."""
+        u, w = _PANEL_U, _PANEL_W
         segs = list(zip(ends[:-1], ends[1:]))
         rows, F, _ = self.values(step, np.concatenate([a + (b - a) * u for a, b in segs]), rows, len(segs))
         sums = (F * w).sum(axis=-1)
@@ -269,25 +265,25 @@ class _Walk:
         total_len = lengths.sum()
         rough = {r: [(b - a) * complex(x) for (a, b), x in zip(segs, row)] for r, row in zip(rows.tolist(), sums)}
         abs_tol = {r: tol * max(1.0, abs(sum(vals))) for r, vals in rough.items()}
-        used = {r: n * len(segs) for r in rough}
+        used = {r: _PANEL * len(segs) for r in rough}
         err = {r: 0.0 for r in rough}
         totals = {r: 0.0 + 0.0j for r in rough}
         for j, ((a, b), L) in enumerate(zip(segs, lengths)):
             live = [r for r in totals if r < self.stop]
             got = self._refine(
-                step, a, b, n, {r: rough[r][j] for r in live}, {r: abs_tol[r] * L / total_len for r in live}, 0, used, err
+                step, a, b, {r: rough[r][j] for r in live}, {r: abs_tol[r] * L / total_len for r in live}, 0, used, err
             )
             totals = {r: totals[r] + v for r, v in got.items()}
         return {r: (v, used[r], err[r]) for r, v in totals.items() if r < self.stop}
 
-    def _refine(self, step, a, b, n: int, whole: dict, tol: dict, depth: int, used: dict, err: dict) -> dict:
+    def _refine(self, step, a, b, whole: dict, tol: dict, depth: int, used: dict, err: dict) -> dict:
         """{row: value of the panel [a, b]}, halving it until the halves of each row
         agree with `whole`, that row's value of the panel, to within its tolerance
         or the halves' roundoff floor; each accepted panel adds the larger of its
         disagreement and its floor to err."""
         if not whole:
             return {}
-        u, w = _gauss01(n)
+        u, w = _PANEL_U, _PANEL_W
         mid = 0.5 * (a + b)
         zs = np.concatenate([a + (mid - a) * u, mid + (b - mid) * u])
         # both halves are |b - a| / 2 wide
@@ -299,7 +295,7 @@ class _Walk:
         for r, (s_left, s_right), m in zip(rows.tolist(), sums, M.tolist()):
             left = (mid - a) * complex(s_left)
             right = (b - mid) * complex(s_right)
-            used[r] += 2 * n
+            used[r] += 2 * _PANEL
             miss = abs(whole[r] - (left + right))
             floor = scale * m
             if miss <= max(tol[r], floor):
@@ -317,24 +313,24 @@ class _Walk:
         halves = [h for h in halves if h[0] < self.stop]
         if halves:
             half_tol = {r: 0.5 * tol[r] for r, _, _ in halves}
-            lv = self._refine(step, a, mid, n, {r: x for r, x, _ in halves}, half_tol, depth + 1, used, err)
-            rv = self._refine(step, mid, b, n, {r: x for r, _, x in halves if r in lv}, half_tol, depth + 1, used, err)
+            lv = self._refine(step, a, mid, {r: x for r, x, _ in halves}, half_tol, depth + 1, used, err)
+            rv = self._refine(step, mid, b, {r: x for r, _, x in halves if r in lv}, half_tol, depth + 1, used, err)
             done.update((r, lv[r] + x) for r, x in rv.items())
         return {r: x for r, x in done.items() if r < self.stop}
 
 
-def _peak(curve: TrigCurve, path, lam_max: float, n_trap: int, n_panel: int) -> tuple[float, float]:
+def _peak(curve: TrigCurve, path, lam_max: float) -> tuple[float, float]:
     """(kappa, d) of the peak of e^(lam (g - g0)) on the path, or (0, 0) when no lam
     up to lam_max can hide it or hiding it loses nothing.  Re g falls as -kappa (t - t*)^2 / 2 from its top t*,
     so the peak is 1 / sqrt(lam kappa) wide, and d is the larger distance from t* to
     the nearest node on either side of it in the walk's first comparison: the
     halved panels next to the saddle waypoint of a contour (each side must see the
-    peak), or the trapezoid rule of 2 n_trap nodes on the real interval, where t*
+    peak), or the trapezoid rule of 2 _TRAP nodes on the real interval, where t*
     is the top of Re g."""
     if path is None:
-        t_top, d_max = 0.0, math.pi / n_trap
+        t_top, d_max = 0.0, math.pi / _TRAP
     else:
-        u0 = _gauss01(n_panel)[0][0]  # the first Gauss node, as a fraction of its panel
+        u0 = _PANEL_U[0]  # the first Gauss node, as a fraction of its panel
         t_top, i = path.t0, path.i_saddle
         sides = [w - t_top for w in (path.waypoints[i - 1], path.waypoints[i + 1])]
         if (sides[0] * sides[1].conjugate()).real > 0.0:
@@ -353,7 +349,7 @@ def _peak(curve: TrigCurve, path, lam_max: float, n_trap: int, n_panel: int) -> 
         # along the side v, Re g falls at the rate -Re(g'' v^2) / |v|^2
         peaks = [(-(g2 * v * v).real / abs(v) ** 2, 0.5 * u0 * abs(v)) for v in sides]
         return max(peaks, key=lambda kd: kd[0] * kd[1] ** 2)
-    ts = -math.pi + 2.0 * math.pi * np.arange(n_trap) / n_trap
+    ts = -math.pi + 2.0 * math.pi * np.arange(_TRAP) / _TRAP
     (x1, _), (x1p, _), (x1pp, _) = eval_jets(curve, ts, order=2)
     k = int(np.argmax(x1.real))
     kappa = -float(x1pp[k].real)
@@ -367,7 +363,6 @@ def _peak(curve: TrigCurve, path, lam_max: float, n_trap: int, n_panel: int) -> 
 def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: complex) -> list:
     """[(e^(-lam g0) I(lam), nodes used, achieved error)] for each lam of the increasing list `lams`,
     from one walk; raises the error of the smallest lam that fails."""
-    n_panel = min(max(opts.nodes, 16), 64)
     if isinstance(domain, CornerDomain):
         # split toward the corner where e^(lam t) concentrates
         legs = [
@@ -384,15 +379,22 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: comple
         raise TypeError(f"path must be None or a ContourPath, got {type(path).__name__}")
 
     walk = _Walk()
-    kappa, d = 0.0, 0.0
-    if isinstance(domain, TrigCurve) and lams:
-        kappa, d = _peak(domain, path, max(lams), max(opts.nodes, 64), n_panel)
+    # the peak of e^(lam Re(g - g0)) falls as e^(-lam kappa x^m / m) at a distance x from
+    # its top, so it is (lam kappa)^(-1/m) wide; the first comparison's nearest nodes lie d from it
+    where, kappa, d, m = "saddle", 0.0, 0.0, 2
+    if isinstance(domain, CornerDomain):
+        # Re g = t on a leg: the peak at the corner t = 0 falls linearly, and its
+        # nearest nodes are those of the halved panel [a / 8, 0], |a| u0 / 8 from it
+        where, kappa, m = "corner", 1.0, 1
+        d = max(abs(ends[0]) for _, ends, _ in legs) * _PANEL_U[0] / 8.0
+    elif lams:
+        kappa, d = _peak(domain, path, max(lams))
     lts = []
     for row, lam in enumerate(lams):
-        if 0.5 * lam * kappa * d * d > _BLIND:
-            width = 1.0 / math.sqrt(lam * kappa)
+        if lam * kappa * d**m / m > _BLIND:
+            width = (lam * kappa) ** (-1.0 / m)
             walk.fail(row, QuadratureNotConverged(
-                f"at lam = {lam!r} the saddle peak is {width:.3g} wide, but the first rule's nodes "
+                f"at lam = {lam!r} the {where} peak is {width:.3g} wide, but the first rule's nodes "
                 f"nearest it lie {d:.3g} ({d / width:.3g} widths) from it: the rule cannot see it"
             ))
             break
@@ -408,9 +410,9 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: comple
         step = _lam_rows(data, lam_rows, lt_rows, g0)
         rows = rows[rows < walk.stop]
         if ends is None:
-            got.append(walk.trapezoid(step, opts.tol, max(opts.nodes, 64), rows))
+            got.append(walk.trapezoid(step, opts.tol, _TRAP, rows))
         else:
-            got.append(walk.chain(step, ends, n_panel, opts.tol, rows))
+            got.append(walk.chain(step, ends, opts.tol, rows))
     if walk.error is not None:
         raise walk.error
     if not isinstance(domain, CornerDomain):
@@ -478,7 +480,7 @@ def area_integral_oracle(curve: TrigCurve, wave, q: float, lam: float, opts: Qua
         return vals[None, :], None, (np.ones((1, 1)), np.ones((1, len(ts))))
 
     walk = _Walk()
-    got = walk.trapezoid(step, opts.tol, max(opts.nodes, 128), np.arange(1))
+    got = walk.trapezoid(step, opts.tol, 2 * _TRAP, np.arange(1))
     if walk.error is not None:
         raise walk.error
     return got[0][0]

@@ -43,7 +43,6 @@ SIMPLE_REL = 1e-8
 RESIDUAL_REL = 1e-10
 _S_WINDOW = 3.5  # |Im t| of the roots find_saddles polishes
 _SADDLE_WINDOW = 1.5  # |Im t| of the saddles find_saddles reports
-_GRID_NR, _GRID_NS = 481, 361  # the default level_region grid, r by s samples
 _RHO = 0.1  # radius of the saddle disc, inside which contours need not clear the margin
 _SAMPLES = 2048  # points at which a finished contour is checked
 
@@ -61,7 +60,7 @@ class SaddlePoint:
 
 @dataclass
 class LevelSetGrid:
-    """Sampled field Re g - Re g(t0) on the level_region rect.
+    """Sampled field Re g - Re g(t0) on the level_region raster.
 
     The zero-level polylines are marched on first read of polylines and kept;
     build_contour works from the values alone.
@@ -74,21 +73,6 @@ class LevelSetGrid:
     @functools.cached_property
     def polylines(self) -> list:
         return _march(self.values, self.r, self.s)
-
-    def value_at(self, t) -> float:
-        t = complex(t)
-        r, s = self.r, self.s
-        j = np.clip(np.searchsorted(r, t.real) - 1, 0, len(r) - 2)
-        i = np.clip(np.searchsorted(s, t.imag) - 1, 0, len(s) - 2)
-        fr = (t.real - r[j]) / (r[j + 1] - r[j])
-        fs = (t.imag - s[i]) / (s[i + 1] - s[i])
-        v = self.values
-        return float(
-            v[i, j] * (1 - fr) * (1 - fs)
-            + v[i, j + 1] * fr * (1 - fs)
-            + v[i + 1, j] * (1 - fr) * fs
-            + v[i + 1, j + 1] * fr * fs
-        )
 
 
 @dataclass(frozen=True)
@@ -356,21 +340,13 @@ def _march(values: np.ndarray, r: np.ndarray, s: np.ndarray) -> list:
     return polylines
 
 
-def level_region(curve: TrigCurve, sp: SaddlePoint, rect=None, nr: int = _GRID_NR, ns: int = _GRID_NS) -> LevelSetGrid:
-    """Signed field Re g - Re g(t0) on the strip; its zero level is marched on demand."""
+def level_region(curve: TrigCurve, sp: SaddlePoint) -> LevelSetGrid:
+    """Signed field Re g - Re g(t0) on 481 x 361 samples of [-pi, pi] x [-0.2, 2.5];
+    its zero level is marched on demand."""
     if not sp.simple:
         raise ValueError("level_region needs a simple saddle")
-    if rect is None:
-        rect = ((-math.pi, math.pi), (-0.2, 2.5))
-    (r_lo, r_hi), (s_lo, s_hi) = rect
-    if not (r_lo < r_hi and s_lo < s_hi):
-        raise ValueError(f"level-set rect must have r_lo < r_hi and s_lo < s_hi, got {rect}")
-    if nr < 400 or ns < 300:
-        raise ValueError("grid resolution must be at least 400 x 300")
-    if nr > 4096 or ns > 4096:
-        raise ValueError(f"grid resolution must be at most 4096 x 4096, got {nr} x {ns}")
-    r = np.linspace(r_lo, r_hi, nr)
-    s = np.linspace(s_lo, s_hi, ns)
+    r = np.linspace(-math.pi, math.pi, 481)
+    s = np.linspace(-0.2, 2.5, 361)
     # Re[A cos m(r+is) + B sin m(r+is)] = cosh ms (a1 cos mr + b1 sin mr)
     #                                   + sinh ms (a2 sin mr - b2 cos mr)
     m = np.arange(len(curve.a1), dtype=float)
@@ -807,7 +783,8 @@ def grid_to_csv(grid: LevelSetGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_to_svg(grid: LevelSetGrid, path: ContourPath | None = None, width: int = 1000, height: int = 600) -> str:
+def grid_to_svg(grid: LevelSetGrid, path: ContourPath | None = None) -> str:
+    width, height = 1000, 600
     r_lo, r_hi = float(grid.r[0]), float(grid.r[-1])
     s_lo, s_hi = float(grid.s[0]), float(grid.s[-1])
 

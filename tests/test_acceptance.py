@@ -142,7 +142,7 @@ def test_03_deltoid_second_order_limit(curves, saddles):
 
 def test_04_corner_inverse_square_law():
     dom = CornerDomain(theta=math.pi / 6, a1=-1.0, a2=-1.0)
-    want = corner_constants(dom, PLANE, K, Q).C
+    want = corner_constants(dom, PLANE, Q).C
     lam = 60.0
     val = boundary_integral_I(dom, PLANE, Q, lam)
     dev = abs(lam**2 * val / want - 1.0)

@@ -155,13 +155,13 @@ def test_mu_n_values():
 
 def test_corner_constants_examples():
     wave = PlaneWave(k=1.0, alpha=0.0)
-    c45 = corner_constants(CornerDomain(theta=PI / 4, a1=-1.0, a2=-1.0), wave, 1.0, 2.0)
+    c45 = corner_constants(CornerDomain(theta=PI / 4, a1=-1.0, a2=-1.0), wave, 2.0)
     assert c45.C == pytest.approx(1.0, abs=1e-12)  # 2 tan/(1+tan^2) = 1 at pi/4
 
-    c_pi6 = corner_constants(CornerDomain(theta=PI / 6, a1=-1.0, a2=-1.0), wave, 1.0, 2.0)
+    c_pi6 = corner_constants(CornerDomain(theta=PI / 6, a1=-1.0, a2=-1.0), wave, 2.0)
     assert c_pi6.C == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
-    c_open = corner_constants(CornerDomain(theta=PI / 2 - 1e-4, a1=-1.0, a2=-1.0), wave, 1.0, 2.0)
+    c_open = corner_constants(CornerDomain(theta=PI / 2 - 1e-4, a1=-1.0, a2=-1.0), wave, 2.0)
     assert abs(c_open.C) < 3e-4  # C -> 0 as the wedge opens flat
 
 
@@ -179,7 +179,7 @@ def test_corner_segment_difference_identity():
                 HerglotzTrunc(k=k, psi=((0, 0.7), (2, 0.4j), (-1, 0.2))),
             ]
         )
-        cc = corner_constants(CornerDomain(theta=theta, a1=-1.0, a2=-0.6), wave, k, q)
+        cc = corner_constants(CornerDomain(theta=theta, a1=-1.0, a2=-0.6), wave, q)
         m = math.tan(theta)
         u0 = wave_value(wave, (0.0, 0.0))
         want = (2 * m / (1 + m * m)) * k * k * (q - 1.0) * u0

@@ -48,9 +48,8 @@ def test_scenario_round_trip():
         "lambda_grid": [1.0, 2.0, 4.0],
         "p": 2.5,
         "g0": [0.25, -1.0],
-        "quad": {"nodes": 48, "tol": 1e-9},
+        "quad": {"tol": 1e-9},
         "contour": True,
-        "levelset": {"rect": [[-3.0, 3.0], [0.0, 1.0]], "nr": 101, "ns": 81},
         "disk": {"mode": "compare", "n": 2},
         "out": "artifacts",
     }
@@ -60,13 +59,11 @@ def test_scenario_round_trip():
     assert s.domain == TrigCurve(a1=(0.0, 1.0, 0.25), b1=(0.0, 0.1), a2=(), b2=(0.0, 0.9))
     assert s.g0 == complex(0.25, -1.0)
     assert s.wave == HerglotzTrunc(k=1.5, psi=((-2, 0.1), (0, 1 - 0.5j)))
-    assert (s.lambda_grid, s.p_power, s.quad, s.contour) == ((1.0, 2.0, 4.0), 2.5, QuadOptions(48, 1e-9), True)
-    assert s.levelset == (((-3.0, 3.0), (0.0, 1.0)), 101, 81)
+    assert (s.lambda_grid, s.p_power, s.quad, s.contour) == ((1.0, 2.0, 4.0), 2.5, QuadOptions(1e-9), True)
     assert (s.disk.mode, s.disk.n, s.out) == ("compare", 2, "artifacts")
 
     minimal = parse_scenario({"version": 1, "k": 1.0, "q": 2.0})
-    assert (minimal.domain, minimal.wave, minimal.g0, minimal.quad) == (None, None, "zero", QuadOptions())
-    assert minimal.levelset == (None, 481, 361)
+    assert (minimal.domain, minimal.wave, minimal.g0, minimal.quad) == (None, None, 0j, QuadOptions())
 
 
 # configs that once escaped parse_scenario as bare TypeError/AttributeError,
@@ -78,7 +75,6 @@ ESCAPES = [
     {"wave": {"kind": "herglotz", "psi": [[1.0, 0.0]]}},
     {"wave": {"kind": "harmonic", "n": None}},
     {"disk": {"mode": "wronskian", "n": None}},
-    {"levelset": {"nr": None}},
     {"q": float("nan")},
     {"q": float("inf")},
     {"k": float("inf"), "q": 1e300},
@@ -92,7 +88,6 @@ MISSPELLED = [
     ({"wave": {"kind": "plane", "alpa": 0.7}}, "wave"),
     ({"lambda_gird": [1, 2]}, "config"),
     ({"countour": True}, "config"),
-    ({"levelset": {"nx": 900}}, "levelset"),
     ({"domain": {"builtin": "ellipse", "params": [2, 1], "b2": [0.0, 1.0]}}, "domain"),
     ({"domain": {"corner": {"theta": 0.5, "a1": -1.0, "a2": -1.0, "a3": -1.0}}}, "domain"),
     ({"disk": {"mode": "roots", "n": 2, "k_max": 10.0, "kmax": 20.0}}, "disk"),
@@ -102,11 +97,8 @@ MISSPELLED = [
 # integer fields that int() once truncated, and the block each error names
 FRACTIONS = [
     ({"wave": {"kind": "harmonic", "n": 2.7}}, "wave"),
-    ({"quad": {"nodes": 40.9}}, "quad"),
     ({"disk": {"mode": "compare", "n": 1.5}}, "disk"),
     ({"disk": {"mode": "roots", "n": 2.5, "k_max": 10.0}}, "disk"),
-    ({"levelset": {"nr": 100.5}}, "levelset"),
-    ({"levelset": {"ns": float("inf")}}, "levelset"),
 ]
 
 
@@ -125,7 +117,6 @@ def test_scenario_validation_errors():
         dict(base, lambda_grid=["x"]),
         dict(base, quad={"tol": 1e-20}),
         dict(base, quad={"mode": "panel_gauss"}),
-        dict(base, levelset={"rect": [1, 2]}),
     ] + [dict(base, **cfg) for cfg, _ in FRACTIONS + MISSPELLED]
     for cfg in bad:
         with pytest.raises(ConfigError):
@@ -137,10 +128,10 @@ def test_scenario_validation_errors():
         with pytest.raises(ConfigError, match=f"^bad {block}: (ValueError: )?unknown keys"):
             parse_scenario(dict(base, **cfg))
     with pytest.raises(ConfigError, match="^bad quad: ValueError: unknown keys"):
-        parse_scenario(dict(base, quad={"nodes": 64, "panels": 9}))
+        parse_scenario(dict(base, quad={"tol": 1e-9, "panels": 9}))
     # integral floats still parse
-    s = parse_scenario(dict(base, wave={"kind": "harmonic", "n": 2.0}, quad={"nodes": 40.0}))
-    assert s.wave.n == 2 and isinstance(s.wave.n, int) and s.quad.nodes == 40
+    s = parse_scenario(dict(base, wave={"kind": "harmonic", "n": 2.0}))
+    assert s.wave.n == 2 and isinstance(s.wave.n, int)
 
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
@@ -376,12 +367,14 @@ def test_sweep_notes_overflowed_I(tmp_path, capsys, name, lams):
 
 @pytest.mark.parametrize(
     "name, extra, lams",
-    [("cardioid_c2", ["--tol", "1e-13"], ["10.0", "20.0", "40.0", "80.0", "160.0", "320.0"]), ("ellipse_c1", [], [])],
+    [("cardioid_c2", {"quad": {"tol": 1e-13}}, ["10.0", "20.0", "40.0", "80.0", "160.0", "320.0"]), ("ellipse_c1", {}, [])],
 )
 def test_sweep_notes_lams_decided_by_the_roundoff_floor(tmp_path, capsys, name, extra, lams):
     # below the integrand's rounding noise the quadrature stops at its roundoff
     # floor, and the note names each lam whose achieved error exceeds tol
-    assert main(["sweep", "--config", os.path.join(SCENARIOS, f"{name}.json"), "--out", str(tmp_path), *extra]) == 0
+    with open(os.path.join(SCENARIOS, f"{name}.json"), encoding="utf-8") as fh:
+        cfg = dict(json.load(fh), **extra)
+    assert run(tmp_path, "sweep", cfg)[0] == 0
     notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: achieved")]
     if not lams:
         assert notes == []
@@ -482,17 +475,22 @@ def test_bad_config_exit_codes(tmp_path):
     assert rc2 == 2
 
 
-def test_bad_levelset_grid_exits_2_without_artifacts(tmp_path, capsys):
-    # an empty rect once escaped build_contour as OverflowError, and a huge grid
-    # as a failed allocation of terabytes
-    base = {"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": PLANE0}
-    flat = {"rect": [[-3.2, 3.2], [0.5, 0.5]]}
-    cases = [("levelset", {"nr": 10**6, "ns": 10**6}), ("analyze", {"ns": 4097}), ("analyze", flat), ("levelset", flat)]
-    for i, (command, ls) in enumerate(cases):
-        rc, out = run(tmp_path, command, dict(base, levelset=ls), out=f"o{i}")
-        assert rc == 2, (command, ls)
-        assert not os.listdir(out), (command, ls)
-    assert capsys.readouterr().err.count("config error: ") == len(cases)
+def test_removed_settings_are_refused_by_name(tmp_path, capsys):
+    # the level-set raster, the Gauss rule size and the command-line quad
+    # overrides are fixed: a scenario or argv that sets one exits 2, names it
+    # and writes nothing
+    base = {"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": PLANE0, "lambda_grid": [1, 5]}
+    for i, (command, cfg, name) in enumerate(
+        [("levelset", dict(base, levelset={"nr": 481}), "'levelset'"), ("oracle", dict(base, quad={"nodes": 64}), "'nodes'")]
+    ):
+        rc, out = run(tmp_path, command, cfg, out=f"o{i}")
+        assert rc == 2 and not out.exists(), name
+        assert name in capsys.readouterr().err
+    for flag, value in (("--tol", "1e-9"), ("--nodes", "64")):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "oracle", base, out=flag, extra=[flag, value])
+        assert exc.value.code == 2 and not (tmp_path / flag).exists()
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -509,14 +507,6 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     rc, _ = run(tmp_path, "sweep", cfg)
     assert rc == 5
     assert "numerical failure: exponent lam (Re g - Re g0) reaches 800.0" in capsys.readouterr().err
-
-
-def test_quad_overrides(tmp_path):
-    cfg = {"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": {"kind": "harmonic", "n": 2}, "lambda_grid": [1, 5]}
-    rc, _ = run(tmp_path, "oracle", cfg, extra=["--nodes", "64", "--tol", "1e-9"])
-    assert rc == 0
-    rc2, _ = run(tmp_path, "oracle", cfg, out="o2", extra=["--tol", "1e-20"])
-    assert rc2 == 2
 
 
 def test_stdout_mode(tmp_path, capsys):
@@ -562,7 +552,7 @@ def test_unknown_command_rejected():
 def test_parser_is_built_once_and_keeps_no_state():
     parser = cli._parser()
     assert cli._parser() is parser
-    a = parser.parse_args(["sweep", "--config", "x.json", "--nodes", "64"])
+    a = parser.parse_args(["sweep", "--config", "x.json", "--out", "o"])
     b = parser.parse_args(["analyze", "--config", "y.json"])
-    assert (a.command, a.config, a.nodes) == ("sweep", "x.json", 64)
-    assert (b.command, b.config, b.nodes, b.tol, b.out) == ("analyze", "y.json", None, None, None)
+    assert vars(a) == {"command": "sweep", "config": "x.json", "out": "o"}
+    assert vars(b) == {"command": "analyze", "config": "y.json", "out": None}

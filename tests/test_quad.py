@@ -32,23 +32,14 @@ PI = math.pi
 
 
 def test_quad_options_validation():
-    QuadOptions(nodes=8, tol=1e-4)
-    with pytest.raises(ValueError):
-        QuadOptions(nodes=7)
-    with pytest.raises(ValueError):
-        QuadOptions(nodes=4097)
+    QuadOptions(tol=1e-4)
+    QuadOptions(tol=1e-14)
+    with pytest.raises(TypeError):
+        QuadOptions(nodes=64)
     with pytest.raises(ValueError):
         QuadOptions(tol=1e-15)
     with pytest.raises(ValueError):
         QuadOptions(tol=1e-3)
-
-
-def test_node_doubling_stays_within_tol(curves):
-    wave = CircularHarmonic(k=1.0, n=1)
-    for key in ("ellipse", "cardioid"):
-        a = boundary_integral_I(curves[key], wave, 2.0, 5.0, None, QuadOptions(nodes=64))
-        b = boundary_integral_I(curves[key], wave, 2.0, 5.0, None, QuadOptions(nodes=128))
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
 def test_contour_independence(curves, paths):
@@ -209,6 +200,19 @@ def test_v_turn_sweep_keeps_its_blind_value(curves, saddles, paths):
     assert abs(rec.resid) <= rec.error < 1e-30
 
 
+@pytest.mark.parametrize("lam", [4e5, 1e6, 1e7])
+def test_corner_sweep_raises_where_its_first_rule_cannot_see_the_corner(lam):
+    # lam^2 I -> C = 1 on this wedge.  These sweeps used to return -1.6e-16 with
+    # error 1.6e-16, 3.7e-60 and exactly 0 with error 0: the corner peak
+    # e^(lam t) is 1 / lam wide, and the legs' nodes nearest the corner, in the
+    # halved panels [a / 8, 0], lie |a| u0 / 8 = 1.7e-4 from it
+    dom, wave = CornerDomain(theta=PI / 4, a1=-1.0, a2=-1.0), PlaneWave(k=1.0, alpha=0.3)
+    [ok] = lambda_sweep(dom, wave, 2.0, [1e5], 2.0, 0j)
+    assert abs(ok.resid - 0.99990) <= 1e-4 + ok.error
+    with pytest.raises(QuadratureNotConverged, match=rf"lam = {lam!r} the corner peak is {1 / lam:.3g} wide"):
+        lambda_sweep(dom, wave, 2.0, [1e5, lam], 2.0, 0j)
+
+
 def test_trapezoid_stops_at_roundoff_floor_of_a_cancelling_sum():
     # (c + cos 2t)(cos t, sin t), c = 2.794, with a two-term plane combination at
     # lam = 6.918: int |f| exceeds |I| about 6.6e6 times, and at tol = 1e-10 the
@@ -322,8 +326,6 @@ def test_corner_quadrature_approaches_wedge_constant():
     m = math.tan(PI / 6)
     want = (2 * m / (1 + m * m)) * k * k * (q - 1.0)  # u(0) = 1
     a = boundary_integral_I(dom, wave, q, 40.0)
-    b = boundary_integral_I(dom, wave, q, 40.0, None, QuadOptions(nodes=48))
-    assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
     assert abs(40.0**2 * a - want) <= 0.1 * abs(want)
     c = boundary_integral_I(dom, wave, q, 80.0)
     assert abs(80.0**2 * c - want) <= 0.05 * abs(want)

@@ -19,6 +19,7 @@ from nonscatter.errors import (
 )
 from nonscatter.saddle import (
     ContourPath,
+    LevelSetGrid,
     _bfs_path,
     _components,
     SaddlePoint,
@@ -416,49 +417,34 @@ def test_find_saddles_rect_validation(curves):
     assert find_saddles(builtin("ellipse", 1.05, 1.0)) == []
 
 
+def _level(curve, sp, t) -> float:
+    """Re g(t) - Re g(t0) from the curve's jets, the field level_region samples."""
+    x1, x2 = eval_jets(curve, [complex(t)], order=0)[0]
+    return float((x1[0] + 1j * x2[0]).real - sp.g0.real)
+
+
 def test_level_region_shape_and_level(curves, saddles, grids):
-    g = grids["ellipse"]
-    assert len(g.r) >= 400 and len(g.s) >= 300
-    assert g.values.shape == (len(g.s), len(g.r))
+    # one raster, 481 x 361 samples of [-pi, pi] x [-0.2, 2.5]: no rect or
+    # resolution is taken
+    cv, sp, g = curves["ellipse"], saddles["ellipse"], grids["ellipse"]
+    assert g.values.shape == (len(g.s), len(g.r)) == (361, 481)
+    assert (g.r[0], g.r[-1], g.s[0], g.s[-1]) == (-PI, PI, -0.2, 2.5)
+    for kw in ({"rect": ((-PI, PI), (-0.2, 2.5))}, {"nr": 481}, {"ns": 361}):
+        with pytest.raises(TypeError):
+            level_region(cv, sp, **kw)
     assert g.polylines
     # values store Re g(t) - Re g(t0): zero at the saddle
-    assert abs(g.value_at(saddles["ellipse"].t0)) < 1e-3
+    assert abs(_level(cv, sp, sp.t0)) < 1e-12
 
 
 def test_level_region_matches_eval_jets(curves, saddles, grids):
-    # the separable product against the termwise jets, on the default rect and
-    # on a wider one whose r runs past +-pi
-    cases = [(key, grids[key]) for key in grids]
-    cases.append(("cardioid", level_region(curves["cardioid"], saddles["cardioid"], rect=((-4.0, 4.0), (-0.5, 2.0)), nr=400, ns=300)))
-    for key, g in cases:
+    # the separable product against the termwise jets
+    for key, g in grids.items():
         tt = g.r[None, :] + 1j * g.s[:, None]
         x1, x2 = eval_jets(curves[key], tt.ravel(), order=0)[0]
         re_g = (x1 + 1j * x2).real.reshape(tt.shape)
         want = re_g - saddles[key].g0.real
         assert np.abs(g.values - want).max() <= 1e-13 * np.abs(re_g).max()
-
-
-def test_level_region_requires_resolution(curves, saddles):
-    with pytest.raises(ValueError):
-        level_region(curves["ellipse"], saddles["ellipse"], nr=100, ns=100)
-
-
-def test_level_region_rejects_empty_rect_and_oversized_grid(curves, saddles):
-    cv, sp = curves["ellipse"], saddles["ellipse"]
-    for rect in (((-PI, PI), (0.5, 0.5)), ((1.0, -1.0), (-0.2, 2.5)), ((-PI, PI), (math.nan, 2.5))):
-        with pytest.raises(ValueError, match="rect"):
-            level_region(cv, sp, rect=rect)
-    # the cap is checked before any array is made
-    tracemalloc.start()
-    try:
-        for nr, ns in ((10**9, 361), (481, 10**9), (4097, 300)):
-            with pytest.raises(ValueError, match="4096"):
-                level_region(cv, sp, nr=nr, ns=ns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert level_region(cv, sp, nr=4096, ns=300).values.shape == (300, 4096)
 
 
 def test_ellipse_zero_level_crosses_real_axis_at_closed_form(grids):
@@ -477,21 +463,20 @@ def test_ellipse_zero_level_crosses_real_axis_at_closed_form(grids):
     assert min(abs(crossings + r_star)) < 2e-2
 
 
-def test_cardioid_zero_level_matches_log_curve(grids):
+def test_cardioid_zero_level_matches_log_curve(curves, saddles):
     # upper zero level: s = ln(cos r + |sin r|) for |r| < 3pi/4ish
-    g = grids["cardioid"]
     for r in np.linspace(-0.6, 0.6, 7):
         s = math.log(math.cos(r) + abs(math.sin(r)))
         t = complex(r, s)
-        assert abs(g.value_at(t)) < 4e-3
+        assert abs(_level(curves["cardioid"], saddles["cardioid"], t)) < 1e-12
 
 
-def test_level_sign_fixture_above_ellipse_saddle(grids):
+def test_level_sign_fixture_above_ellipse_saddle(curves, saddles):
     # Re g(1.0i) - Re g(t0) = 2 cosh 1 - sinh 1 - sqrt 3 > 0
     want = 2 * math.cosh(1.0) - math.sinh(1.0) - math.sqrt(3.0)
-    got = grids["ellipse"].value_at(1.0j)
+    got = _level(curves["ellipse"], saddles["ellipse"], 1.0j)
     assert got > 0
-    assert got == pytest.approx(want, abs=2e-3)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_contour_shapes_and_validation(curves, saddles, grids, paths):
@@ -622,10 +607,11 @@ def test_endpoint_above_level():
         build_contour(refl, sp, grid)
 
 
-def test_no_admissible_path_when_grid_clipped(curves, saddles):
+def test_no_admissible_path_when_grid_clipped(curves, saddles, grids):
     # cardioid escape runs upward; a grid clipped to s <= 0.2 has no corridor
-    sp = saddles["cardioid"]
-    grid = level_region(curves["cardioid"], sp, rect=((-PI, PI), (-0.2, 0.2)))
+    sp, full = saddles["cardioid"], grids["cardioid"]
+    rows = full.s <= 0.2
+    grid = LevelSetGrid(r=full.r, s=full.s[rows], values=full.values[rows])
     with pytest.raises(NoAdmissiblePath):
         build_contour(curves["cardioid"], sp, grid)
 

@@ -1,10 +1,15 @@
+import importlib
 import importlib.util
 import os
+import types
+
+import pytest
 
 from nonscatter.asymptotics import nonscattering_wavenumbers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _load(name, folder=SCRIPTS):
@@ -39,3 +44,34 @@ def test_tracer_restores_every_patched_name():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in before)
+
+
+@pytest.mark.parametrize("name", ["certify", "sweep"])
+def test_benchmark_round_passes_its_checks(tmp_path, monkeypatch, name):
+    # one round of each benchmark workload, imported as perfbench/run.py imports
+    # it (perfbench/ on the path, for its references too) and checked as a run
+    # checks it: every op passes its check against references.py or fails as
+    # it is designed to, so a changed signature that the benchmark calls fails here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    wl = workloads.WORKLOADS[name](5, str(tmp_path))
+    records = []
+    try:
+        wl.setup()
+        for op in wl.round(0):
+            if op.prepare is not None:
+                op.prepare()
+            try:
+                out, exc = op.run(), None
+            except Exception as e:
+                out, exc = None, e
+            records.append(types.SimpleNamespace(op=op, out=out, exc=exc))
+    finally:
+        wl.cleanup()
+    for rec in records:
+        if rec.exc is not None:
+            assert rec.op.expect_fail is not None and isinstance(rec.exc, rec.op.expect_fail), (rec.op.kind, rec.exc)
+        else:
+            assert rec.op.check(rec.out) == [], rec.op.kind
+    assert wl.check_once(records) == []
+    assert any(rec.exc is None for rec in records)
