@@ -475,17 +475,32 @@ def test_bad_config_exit_codes(tmp_path):
     assert rc2 == 2
 
 
-def test_removed_settings_are_refused_by_name(tmp_path, capsys):
-    # the level-set raster, the Gauss rule size and the command-line quad
-    # overrides are fixed: a scenario or argv that sets one exits 2, names it
-    # and writes nothing
-    base = {"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": PLANE0, "lambda_grid": [1, 5]}
-    for i, (command, cfg, name) in enumerate(
-        [("levelset", dict(base, levelset={"nr": 481}), "'levelset'"), ("oracle", dict(base, quad={"nodes": 64}), "'nodes'")]
-    ):
-        rc, out = run(tmp_path, command, cfg, out=f"o{i}")
-        assert rc == 2 and not out.exists(), name
-        assert name in capsys.readouterr().err
+def test_bad_levelset_grid_exits_2_without_artifacts(tmp_path, capsys):
+    # the level-set raster is fixed: a scenario with a levelset block (here the
+    # empty rect and the huge grid that once escaped as OverflowError and a
+    # failed allocation) exits 2, names the block and writes nothing
+    base = {"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": PLANE0}
+    flat = {"rect": [[-3.2, 3.2], [0.5, 0.5]]}
+    cases = [("levelset", {"nr": 10**6, "ns": 10**6}), ("analyze", {"ns": 4097}), ("analyze", flat), ("levelset", flat)]
+    for i, (command, ls) in enumerate(cases):
+        rc, out = run(tmp_path, command, dict(base, levelset=ls), out=f"o{i}")
+        assert rc == 2 and not out.exists(), (command, ls)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'levelset'" in err, (command, ls)
+
+
+def test_quad_overrides(tmp_path, capsys):
+    # the quad block holds tol only: the Gauss rule size and the command-line
+    # overrides are fixed, and setting one exits 2, names it and writes nothing
+    base = {"version": 1, "k": 1.0, "q": 2.0, "domain": {"builtin": "cardioid"}, "wave": {"kind": "harmonic", "n": 2}, "lambda_grid": [1, 5]}
+    rc, _ = run(tmp_path, "oracle", dict(base, quad={"tol": 1e-9}))
+    assert rc == 0
+    rc2, out2 = run(tmp_path, "oracle", dict(base, quad={"tol": 1e-20}), out="o2")
+    assert rc2 == 2 and not out2.exists()
+    capsys.readouterr()
+    rc3, out3 = run(tmp_path, "oracle", dict(base, quad={"nodes": 64}), out="o3")
+    assert rc3 == 2 and not out3.exists()
+    assert "'nodes'" in capsys.readouterr().err
     for flag, value in (("--tol", "1e-9"), ("--nodes", "64")):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "oracle", base, out=flag, extra=[flag, value])

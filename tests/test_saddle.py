@@ -424,17 +424,41 @@ def _level(curve, sp, t) -> float:
 
 
 def test_level_region_shape_and_level(curves, saddles, grids):
-    # one raster, 481 x 361 samples of [-pi, pi] x [-0.2, 2.5]: no rect or
-    # resolution is taken
+    # one raster, 481 x 361 samples of [-pi, pi] x [-0.2, 2.5]
     cv, sp, g = curves["ellipse"], saddles["ellipse"], grids["ellipse"]
     assert g.values.shape == (len(g.s), len(g.r)) == (361, 481)
     assert (g.r[0], g.r[-1], g.s[0], g.s[-1]) == (-PI, PI, -0.2, 2.5)
-    for kw in ({"rect": ((-PI, PI), (-0.2, 2.5))}, {"nr": 481}, {"ns": 361}):
-        with pytest.raises(TypeError):
-            level_region(cv, sp, **kw)
     assert g.polylines
     # values store Re g(t) - Re g(t0): zero at the saddle
     assert abs(_level(cv, sp, sp.t0)) < 1e-12
+
+
+def test_level_region_requires_resolution(curves, saddles, grids):
+    # the resolution is fixed at 481 x 361 for every curve; a coarser one
+    # cannot be asked for
+    for g in grids.values():
+        assert g.values.shape == (361, 481)
+    for kw in ({"nr": 100, "ns": 100}, {"nr": 100}, {"ns": 100}):
+        with pytest.raises(TypeError):
+            level_region(curves["ellipse"], saddles["ellipse"], **kw)
+
+
+def test_level_region_rejects_empty_rect_and_oversized_grid(curves, saddles):
+    # rect, nr and ns are not taken: an empty rect or an oversized grid is
+    # refused before any array is made
+    cv, sp = curves["ellipse"], saddles["ellipse"]
+    tracemalloc.start()
+    try:
+        for rect in (((-PI, PI), (0.5, 0.5)), ((1.0, -1.0), (-0.2, 2.5)), ((-PI, PI), (math.nan, 2.5))):
+            with pytest.raises(TypeError, match="rect"):
+                level_region(cv, sp, rect=rect)
+        for nr, ns in ((10**9, 361), (481, 10**9), (4097, 300)):
+            with pytest.raises(TypeError):
+                level_region(cv, sp, nr=nr, ns=ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_level_region_matches_eval_jets(curves, saddles, grids):
