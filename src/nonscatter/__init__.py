@@ -25,8 +25,6 @@ from .asymptotics import (
     FJet,
     asym_report,
     bessel_contour_identity,
-    c1,
-    c2,
     corner_constants,
     disk_herglotz_closed_form,
     disk_plane_closed_form,

@@ -28,8 +28,6 @@ __all__ = [
     "AsymReport",
     "CornerConstants",
     "f_jet",
-    "c1",
-    "c2",
     "asym_report",
     "report_to_dict",
     "mu_n",
@@ -111,67 +109,39 @@ def f_jet(curve: TrigCurve, wave, q: float, s: SaddlePoint) -> FJet:
     )
 
 
-def _saddle_samples(curve: TrigCurve, wave, s: SaddlePoint):
-    jet = eval_jet(curve, s.t0, order=1)
-    x = jet.x
-    x2p = jet.xp[1]
-    sample = _waves.sample(wave, x)
-    return x, x2p, sample
-
-
 def tol_scale(wave, q: float, u0: complex) -> float:
     """Natural size of the constants: k^2 |q-1| max(1, |u(x(t0))|)."""
     return wave.k**2 * abs(q - 1.0) * max(1.0, abs(u0))
 
 
-def c1(curve: TrigCurve, wave, q: float, s: SaddlePoint, path: ContourPath) -> complex:
-    """Leading constant, branch fixed by the direction the contour crosses t0."""
-    root = branch_sqrt_neg_g2(s, path.arrival_angle())
-    x, x2p, sample = _saddle_samples(curve, wave, s)
-    k = wave.k
-    val = k * k * (q - 1.0) * sample.v * x2p * math.sqrt(2.0 * math.pi) / root
-    jet = f_jet(curve, wave, q, s)
-    alt = math.sqrt(2.0 * math.pi) * jet.f0 / root
-    scale = max(tol_scale(wave, q, sample.v), abs(val))
-    if abs(val - alt) > 1e-9 * scale:
-        warnings.warn(
-            f"C1 cross-check drift {abs(val - alt):.3g} (closed {val:.6g}, ring {alt:.6g})",
-            RuntimeWarning,
-        )
-    return val
-
-
-def c2(curve: TrigCurve, wave, q: float, s: SaddlePoint, path: ContourPath) -> complex:
-    """Second-order constant on the same branch (root cubed)."""
-    root = branch_sqrt_neg_g2(s, path.arrival_angle())
-    x, x2p, sample = _saddle_samples(curve, wave, s)
-    k = wave.k
-    tol = 1e-8 * tol_scale(wave, q, sample.v)
-    val_c1 = k * k * (q - 1.0) * sample.v * x2p * math.sqrt(2.0 * math.pi) / abs(root)
-    if abs(val_c1) > tol:
-        warnings.warn("second-order constant requested while |C1| is not small", RuntimeWarning)
-    jet = f_jet(curve, wave, q, s)
-    w0 = 1j * sample.V[0] + sample.V[1]
-    bracket = jet.f2 - jet.f1 * s.g3 / s.g2 - 1j * k * k * q * s.g2 * x2p * w0
-    return math.sqrt(0.5 * math.pi) * bracket / root**3
-
-
 def asym_report(curve: TrigCurve, wave, q: float, s: SaddlePoint, path: ContourPath) -> AsymReport:
-    """Scattering verdict from C1, then C2.  Inconclusive never claims nonscattering."""
+    """Scattering verdict from C1, then from C2 when C1 vanishes, on the branch of root fixed by
+    the direction the contour crosses t0.  Inconclusive never claims nonscattering."""
     omega = path.arrival_angle()
     omega0 = branch_angle(s, omega)
-    _, _, sample = _saddle_samples(curve, wave, s)
-    tol = 1e-8 * tol_scale(wave, q, sample.v)
-    C1 = c1(curve, wave, q, s, path)
-    if abs(C1) > tol:
-        return AsymReport(
-            C1=C1, C2=None, order=1.5, g0=s.g0, verdict="ScattersByC1", omega=omega, omega0=omega0
+    root = branch_sqrt_neg_g2(s, omega)
+    jet = eval_jet(curve, s.t0, order=1)
+    x2p = jet.xp[1]
+    sample = _waves.sample(wave, jet.x)
+    fj = f_jet(curve, wave, q, s)
+    k = wave.k
+    size = tol_scale(wave, q, sample.v)
+    tol = 1e-8 * size
+    C1 = k * k * (q - 1.0) * sample.v * x2p * math.sqrt(2.0 * math.pi) / root
+    ring = math.sqrt(2.0 * math.pi) * fj.f0 / root
+    if abs(C1 - ring) > 1e-9 * max(size, abs(C1)):
+        warnings.warn(
+            f"C1 cross-check drift {abs(C1 - ring):.3g} (closed {C1:.6g}, ring {ring:.6g})",
+            RuntimeWarning,
         )
-    C2 = c2(curve, wave, q, s, path)
-    verdict = "ScattersByC2" if abs(C2) > tol else "Inconclusive"
-    return AsymReport(
-        C1=C1, C2=C2, order=2.5, g0=s.g0, verdict=verdict, omega=omega, omega0=omega0
-    )
+    if abs(C1) > tol:
+        C2, order, verdict = None, 1.5, "ScattersByC1"
+    else:
+        w0 = 1j * sample.V[0] + sample.V[1]
+        bracket = fj.f2 - fj.f1 * s.g3 / s.g2 - 1j * k * k * q * s.g2 * x2p * w0
+        C2 = math.sqrt(0.5 * math.pi) * bracket / root**3
+        order, verdict = 2.5, "ScattersByC2" if abs(C2) > tol else "Inconclusive"
+    return AsymReport(C1=C1, C2=C2, order=order, g0=s.g0, verdict=verdict, omega=omega, omega0=omega0)
 
 
 def _pair(z: complex) -> list:

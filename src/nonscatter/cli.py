@@ -111,6 +111,17 @@ def _reals(xs) -> tuple:
     return tuple(_real(x) for x in xs)
 
 
+def _exactly(kind: type):
+    """A decoder that passes only values of kind: bool() and str() would coerce any value."""
+
+    def decode(v):
+        if not isinstance(v, kind):
+            raise TypeError(f"{v!r} is not a JSON {'boolean' if kind is bool else 'string'}")
+        return v
+
+    return decode
+
+
 def _complex(pair) -> complex:
     re, im = pair
     return complex(_real(re), _real(im))
@@ -232,9 +243,9 @@ def parse_scenario(cfg: dict) -> Scenario:
         p_power=_block(cfg, "p", _optional(_real), None),
         g0=_block(cfg, "g0", _decode_g0, 0j),
         quad=_block(cfg, "quad", _decode_quad, QuadOptions()),
-        contour=bool(cfg.get("contour", False)),
+        contour=_block(cfg, "contour", _exactly(bool), False),
         disk=_block(cfg, "disk", _optional(_decode_disk), None),
-        out=_block(cfg, "out", _optional(str), None),
+        out=_block(cfg, "out", _optional(_exactly(str)), None),
     )
 
 

@@ -319,36 +319,27 @@ class _Walk:
         return {r: x for r, x in done.items() if r < self.stop}
 
 
-def _peak(curve: TrigCurve, path, lam_max: float) -> tuple[float, float]:
-    """(kappa, d) of the peak of e^(lam (g - g0)) on the path, or (0, 0) when no lam
-    up to lam_max can hide it or hiding it loses nothing.  Re g falls as -kappa (t - t*)^2 / 2 from its top t*,
+def _peak(curve: TrigCurve, path) -> tuple[float, float]:
+    """(kappa, d) of the peak of e^(lam (g - g0)) on the path, or (0, 0) when hiding
+    it loses nothing.  Re g falls as -kappa (t - t*)^2 / 2 from its top t*,
     so the peak is 1 / sqrt(lam kappa) wide, and d is the larger distance from t* to
     the nearest node on either side of it in the walk's first comparison: the
     halved panels next to the saddle waypoint of a contour (each side must see the
     peak), or the trapezoid rule of 2 _TRAP nodes on the real interval, where t*
     is the top of Re g."""
-    if path is None:
-        t_top, d_max = 0.0, math.pi / _TRAP
-    else:
-        u0 = _PANEL_U[0]  # the first Gauss node, as a fraction of its panel
-        t_top, i = path.t0, path.i_saddle
-        sides = [w - t_top for w in (path.waypoints[i - 1], path.waypoints[i + 1])]
+    if path is not None:
+        i = path.i_saddle
+        sides = [w - path.t0 for w in (path.waypoints[i - 1], path.waypoints[i + 1])]
         if (sides[0] * sides[1].conjugate()).real > 0.0:
             # a V-turn: both sides leave t0 into one valley, so their peaks cancel
             # and a rule blind to both loses nothing
             return 0.0, 0.0
-        d_max = 0.5 * u0 * max(abs(v) for v in sides)
-    # kappa <= |g''| <= the sum of the Laurent coefficients of x'' times e^(M |Im t|)
-    table = curve.laurent
-    bound = np.abs(table[4:6]).sum() * math.exp(table.shape[1] // 2 * abs(complex(t_top).imag))
-    if 0.5 * lam_max * bound * d_max**2 <= _BLIND:
-        return 0.0, 0.0
-    if path is not None:
-        x1, x2 = eval_jets(curve, [t_top], order=2)[2]
+        x1, x2 = eval_jets(curve, [path.t0], order=2)[2]
         g2 = complex(x1[0] + 1j * x2[0])
-        # along the side v, Re g falls at the rate -Re(g'' v^2) / |v|^2
-        peaks = [(-(g2 * v * v).real / abs(v) ** 2, 0.5 * u0 * abs(v)) for v in sides]
+        # along the side v, Re g falls at the rate -Re(g'' v^2) / |v|^2; _PANEL_U[0] is the first Gauss node
+        peaks = [(-(g2 * v * v).real / abs(v) ** 2, 0.5 * _PANEL_U[0] * abs(v)) for v in sides]
         return max(peaks, key=lambda kd: kd[0] * kd[1] ** 2)
+    h = math.pi / _TRAP  # the spacing of the 2 _TRAP-node rule
     ts = -math.pi + 2.0 * math.pi * np.arange(_TRAP) / _TRAP
     (x1, _), (x1p, _), (x1pp, _) = eval_jets(curve, ts, order=2)
     k = int(np.argmax(x1.real))
@@ -356,8 +347,8 @@ def _peak(curve: TrigCurve, path, lam_max: float) -> tuple[float, float]:
     if kappa <= 0.0:
         return 0.0, 0.0
     # one Newton step from the top node to t*; d is the spacing less the distance to the nearest node
-    off = (ts[k] + float(x1p[k].real) / kappa + math.pi) / d_max % 1.0
-    return kappa, d_max * (1.0 - min(off, 1.0 - off))
+    off = (ts[k] + float(x1p[k].real) / kappa + math.pi) / h % 1.0
+    return kappa, h * (1.0 - min(off, 1.0 - off))
 
 
 def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: complex) -> list:
@@ -388,7 +379,7 @@ def _integrals(domain, wave, q: float, path, opts: QuadOptions, lams, g0: comple
         where, kappa, m = "corner", 1.0, 1
         d = max(abs(ends[0]) for _, ends, _ in legs) * _PANEL_U[0] / 8.0
     elif lams:
-        kappa, d = _peak(domain, path, max(lams))
+        kappa, d = _peak(domain, path)
     lts = []
     for row, lam in enumerate(lams):
         if lam * kappa * d**m / m > _BLIND:

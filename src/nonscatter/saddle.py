@@ -603,16 +603,11 @@ def build_contour(curve: TrigCurve, sp: SaddlePoint, grid: LevelSetGrid) -> Cont
         return None
 
     phi_steep = 0.5 * (math.pi - cmath.phase(sp.g2))
-    attempts = []
-    for to_plus, to_minus in ((phi_steep, phi_steep - math.pi), (phi_steep - math.pi, phi_steep)):
-        attempts.append((to_plus, to_minus))
-    # V-turn fallbacks: both legs tilted around one steepest direction
+    attempts = [(phi_steep, phi_steep - math.pi), (phi_steep - math.pi, phi_steep)]
+    # V-turn fallbacks: both legs tilted by pi/8 around one steepest direction
     for base_phi in (phi_steep, phi_steep - math.pi):
-        for tilt in (math.pi / 8, math.pi / 6):
-            cand = (base_phi - tilt, base_phi + tilt)
-            exit_phi = max(cand, key=lambda p: math.cos(p))
-            entry_phi = min(cand, key=lambda p: math.cos(p))
-            attempts.append((exit_phi, entry_phi))
+        cand = (base_phi - math.pi / 8, base_phi + math.pi / 8)
+        attempts.append((max(cand, key=math.cos), min(cand, key=math.cos)))  # (exit, entry)
 
     for exit_phi, entry_phi in attempts:
         pe = probe(exit_phi)

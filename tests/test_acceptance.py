@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 from nonscatter.asymptotics import (
+    asym_report,
     bessel_contour_identity,
-    c1,
-    c2,
     corner_constants,
     disk_herglotz_closed_form,
     disk_plane_closed_form,
@@ -50,7 +49,7 @@ def test_01_ellipse_first_order_limit(curves, saddles, paths):
     recs = lambda_sweep(cv, PLANE, Q, LIMIT_GRID, 1.5, sp.g0, path)
     elapsed = time.perf_counter() - start
     assert elapsed <= 10.0, f"sweep took {elapsed:.2f} s"
-    want = c1(cv, PLANE, Q, sp, path)
+    want = asym_report(cv, PLANE, Q, sp, path).C1
     fit = fit_decay(recs)
     dev = abs(fit.limit / want - 1.0)
     assert dev <= 0.05, f"|limit/C1 - 1| = {dev:.4f} > 0.05"
@@ -223,7 +222,7 @@ def test_10_ellipse_next_order_closed_form():
     wave = CircularHarmonic(k=k, n=n)
     sp = find_saddles(cv)[0]
     path = build_contour(cv, sp, level_region(cv, sp))
-    got = c2(cv, wave, q, sp, path)
+    got = asym_report(cv, wave, q, sp, path).C2
 
     bracket = a**4 - (2.0 / 3.0) * (n - 2) * a * a * b * b + b**4
     closed = (

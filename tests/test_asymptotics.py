@@ -1,6 +1,9 @@
 import cmath
+import hashlib
 import json
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +13,6 @@ import scipy.special as sps
 from nonscatter.asymptotics import (
     asym_report,
     bessel_contour_identity,
-    c1,
-    c2,
     corner_constants,
     disk_herglotz_closed_form,
     disk_plane_closed_form,
@@ -24,8 +25,11 @@ from nonscatter.asymptotics import (
 )
 from nonscatter.curves import CornerDomain, builtin, eval_jet
 from nonscatter.czmath import SpectralParams, bessel_g, bessel_j, bessel_jp, lambda_tilde
-from nonscatter.errors import DegenerateCircle, NoRealSolution
+from nonscatter.errors import DegenerateCircle, EndpointAboveLevel, NoAdmissiblePath, NoRealSolution
+from nonscatter.saddle import build_contour, find_saddles, level_region, validate_contour
 from nonscatter.waves import CircularHarmonic, HerglotzTrunc, PlaneWave, value as wave_value
+
+from conftest import fuzz_sample
 
 PI = math.pi
 
@@ -50,7 +54,7 @@ def test_c1_two_routes_agree(curves, saddles, paths):
     for key in ("ellipse", "nonconvex"):
         cv, sp, path = curves[key], saddles[key], paths[key]
         wave = PlaneWave(k=1.0, alpha=0.4)
-        closed = c1(cv, wave, 2.0, sp, path)
+        closed = asym_report(cv, wave, 2.0, sp, path).C1
         root = branch_sqrt_neg_g2(sp, path.arrival_angle())
         via_f = math.sqrt(2 * PI) * f_jet(cv, wave, 2.0, sp).f0 / root
         assert abs(closed - via_f) <= 1e-9 * max(1.0, abs(closed))
@@ -58,7 +62,7 @@ def test_c1_two_routes_agree(curves, saddles, paths):
 
 def test_c1_ellipse_closed_form(curves, saddles, paths):
     # k=1, q=2, alpha=0: C1 = e^{4i/sqrt3} (2/sqrt3) sqrt(2 pi / sqrt 3)
-    got = c1(curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), 2.0, saddles["ellipse"], paths["ellipse"])
+    got = asym_report(curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), 2.0, saddles["ellipse"], paths["ellipse"]).C1
     want = cmath.exp(4j / math.sqrt(3)) * (2 / math.sqrt(3)) * math.sqrt(2 * PI / math.sqrt(3))
     assert abs(got - want) < 1e-12
     assert abs(got - (-1.480675214330743 + 1.6261608820443285j)) < 1e-12
@@ -71,14 +75,14 @@ def test_c1_orientation_modulus(curves, saddles, paths):
     sp, path = saddles["ellipse"], paths["ellipse"]
     root = branch_sqrt_neg_g2(sp, path.arrival_angle())
     flipped = branch_sqrt_neg_g2(sp, path.arrival_angle() + PI)
-    val = c1(curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), 2.0, sp, path)
+    val = asym_report(curves["ellipse"], PlaneWave(k=1.0, alpha=0.0), 2.0, sp, path).C1
     assert flipped == pytest.approx(-root)
     assert abs(val * root) == pytest.approx(abs(val * flipped))
 
 
 def test_c2_cardioid_value(curves, saddles, paths):
     # plane wave, u(0) = 1: C2 = 3i sqrt(pi/2) k^2 (q-1)
-    got = c2(curves["cardioid"], PlaneWave(k=1.0, alpha=0.0), 2.0, saddles["cardioid"], paths["cardioid"])
+    got = asym_report(curves["cardioid"], PlaneWave(k=1.0, alpha=0.0), 2.0, saddles["cardioid"], paths["cardioid"]).C2
     want = 3j * math.sqrt(PI / 2)
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -87,7 +91,7 @@ def test_c2_deltoid_value(curves, saddles, paths):
     # C2 = sqrt(pi/12) k^2 (q-1) u(3, 0)
     k, q = 1.0, 2.0
     wave = PlaneWave(k=k, alpha=0.0)
-    got = c2(curves["deltoid"], wave, q, saddles["deltoid"], paths["deltoid"])
+    got = asym_report(curves["deltoid"], wave, q, saddles["deltoid"], paths["deltoid"]).C2
     want = math.sqrt(PI / 12) * k * k * (q - 1) * cmath.exp(3j * k)
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -109,8 +113,6 @@ def test_asym_report_verdicts(curves, saddles, paths):
 
 
 def test_asym_report_inconclusive_at_degenerate_aspect(curves):
-    from nonscatter.saddle import build_contour, find_saddles, level_region
-
     m6 = mu_n(6)
     a = math.sqrt(m6)
     k = 9.936109524217686 / math.sqrt(m6 + 1.0)  # first zero of J_6 over sqrt(a^2+b^2)
@@ -124,6 +126,50 @@ def test_asym_report_inconclusive_at_degenerate_aspect(curves):
     sc = tol_scale(CircularHarmonic(k=k, n=6), 2.0, 0.0)
     assert abs(rep.C1) <= 1e-8 * sc
     assert abs(rep.C2) <= 1e-8 * sc
+
+
+# sha256 of the reports below, one line of float.hex words per report
+_FUZZ_VERDICTS_SHA256 = "29dcaf915b58d50c220378e41ed1f0ade5001605dbb725c13016dd16d3d4844b"
+_FIXTURE_VERDICTS_SHA256 = "7649ae73178aa75d33b30e749b58e5e1f26e524081119af7f772e3b004809e81"
+
+
+def _verdict_words(curve, s, path, wave):
+    rep = asym_report(curve, wave, 2.0, s, path)
+    c2 = [] if rep.C2 is None else [rep.C2.real.hex(), rep.C2.imag.hex()]
+    return [rep.verdict, rep.C1.real.hex(), rep.C1.imag.hex(), *c2, rep.order.hex(), rep.omega.hex(), rep.omega0.hex()]
+
+
+def test_fuzz_sample_verdicts(curves, saddles, paths):
+    # the ROADMAP's 150-curve fuzz sample, curve j under a plane wave at k = 1,
+    # alpha_j = -pi + 2 pi j / 150 and q = 2, keeps its verdict counts and the
+    # bits of every report; the saddle-bearing fixtures under three waves cover
+    # the C2 branch
+    outcomes = Counter()
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for j, curve in enumerate(fuzz_sample(777, 150)):
+            simple = [sp for sp in find_saddles(curve) if sp.simple]
+            if not simple:
+                outcomes["no simple saddle"] += 1
+                continue
+            try:
+                path = build_contour(curve, simple[0], level_region(curve, simple[0]))
+                validate_contour(curve, path)
+            except (EndpointAboveLevel, NoAdmissiblePath) as e:
+                outcomes[type(e).__name__] += 1
+                continue
+            words = _verdict_words(curve, simple[0], path, PlaneWave(k=1.0, alpha=-PI + 2.0 * PI * j / 150))
+            outcomes[words[0]] += 1
+            digest.update((" ".join(words) + "\n").encode())
+    assert outcomes == {"ScattersByC1": 71, "EndpointAboveLevel": 54, "NoAdmissiblePath": 20, "no simple saddle": 5}
+    assert digest.hexdigest() == _FUZZ_VERDICTS_SHA256
+    fixtures = hashlib.sha256()
+    for key in paths:
+        for wave in (PlaneWave(k=1.0, alpha=0.0), CircularHarmonic(k=1.0, n=0), CircularHarmonic(k=1.0, n=2)):
+            words = _verdict_words(curves[key], saddles[key], paths[key], wave)
+            fixtures.update((" ".join([key, *words]) + "\n").encode())
+    assert fixtures.hexdigest() == _FIXTURE_VERDICTS_SHA256
 
 
 def test_report_serialization_round_trip(curves, saddles, paths):

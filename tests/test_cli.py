@@ -82,6 +82,15 @@ ESCAPES = [
     {"lambda_grid": [1.0, float("inf")]},
 ]
 
+# values that bool() and str() once coerced silently: "false" ran the contour,
+# and 5 or ["a"] named an output directory
+COERCED = [
+    {"contour": "false"},
+    {"contour": 1},
+    {"out": 5},
+    {"out": ["a"]},
+]
+
 # misspelled keys that once took their defaults silently, and the block each
 # error names
 MISSPELLED = [
@@ -104,7 +113,7 @@ FRACTIONS = [
 
 def test_scenario_validation_errors():
     base = {"version": 1, "k": 1.0, "q": 2.0}
-    bad = [dict(base, **cfg) for cfg in ESCAPES] + [
+    bad = [dict(base, **cfg) for cfg in ESCAPES + COERCED] + [
         {"version": 2, "k": 1.0, "q": 2.0},
         {"version": 1, "q": 2.0},
         {"version": 1, "k": -1.0, "q": 2.0},
@@ -121,6 +130,9 @@ def test_scenario_validation_errors():
     for cfg in bad:
         with pytest.raises(ConfigError):
             parse_scenario(cfg)
+    for cfg in COERCED:
+        with pytest.raises(ConfigError, match=f"^bad {next(iter(cfg))}: TypeError"):
+            parse_scenario(dict(base, **cfg))
     for cfg, block in FRACTIONS:
         with pytest.raises(ConfigError, match=f"^bad {block}: ValueError"):
             parse_scenario(dict(base, **cfg))
@@ -136,7 +148,7 @@ def test_scenario_validation_errors():
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     base = {"version": 1, "k": 1.0, "q": 2.0, "domain": ELLIPSE, "wave": PLANE0}
-    malformed = ESCAPES + [cfg for cfg, _ in FRACTIONS + MISSPELLED]
+    malformed = ESCAPES + COERCED + [cfg for cfg, _ in FRACTIONS + MISSPELLED]
     for i, cfg in enumerate(malformed):
         rc, out = run(tmp_path, "analyze", dict(base, **cfg), out=f"o{i}")
         assert rc == 2, cfg
