@@ -2,7 +2,7 @@
 planar inhomogeneities: boundary-integral diagnostics, saddle-point
 asymptotics, and high-precision quadrature cross-checks."""
 
-from .czmath import SpectralParams, TestVector, bessel_g, bessel_j, bessel_jp, lambda_tilde, xi_vector
+from .czmath import SpectralParams, bessel_g, bessel_j, bessel_jp, lambda_tilde
 from .curves import CornerDomain, CornerSegment, CurveJet, TrigCurve, builtin, corner_segments, eval_jet, eval_jets, g_jet
 from .waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, WaveSample, gradient, sample, value
 from .saddle import (

@@ -54,18 +54,18 @@ class FJet:
 
 @dataclass(frozen=True)
 class CornerConstants:
-    """Per-segment corner amplitudes and the combined jump constant C."""
+    """Per-segment corner amplitudes, the combined jump constant C and its verdict."""
 
     c1_seg: complex
     c2_seg: complex
     C: complex
+    verdict: str  # "ScattersAtCorner" | "Inconclusive"
 
 
 @dataclass(frozen=True)
 class AsymReport:
     C1: complex
     C2: complex | None
-    order: float
     g0: complex
     verdict: str
     omega: float
@@ -76,8 +76,11 @@ class AsymReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == "ScattersByC1" and self.C2 is not None:
             raise ValueError("second-order constant must be absent when C1 decides")
-        if self.order not in (1.5, 2.5):
-            raise ValueError("order must be 3/2 or 5/2")
+
+    @property
+    def order(self) -> float:
+        """Decay order of lam^(-order) e^(lam g0) I: 3/2 from C1, 5/2 when C2 is formed."""
+        return 1.5 if self.C2 is None else 2.5
 
 
 def _ring_coeffs(vals: np.ndarray, r: float, orders: int) -> np.ndarray:
@@ -135,13 +138,13 @@ def asym_report(curve: TrigCurve, wave, q: float, s: SaddlePoint, path: ContourP
             RuntimeWarning,
         )
     if abs(C1) > tol:
-        C2, order, verdict = None, 1.5, "ScattersByC1"
+        C2, verdict = None, "ScattersByC1"
     else:
         w0 = 1j * sample.V[0] + sample.V[1]
         bracket = fj.f2 - fj.f1 * s.g3 / s.g2 - 1j * k * k * q * s.g2 * x2p * w0
         C2 = math.sqrt(0.5 * math.pi) * bracket / root**3
-        order, verdict = 2.5, "ScattersByC2" if abs(C2) > tol else "Inconclusive"
-    return AsymReport(C1=C1, C2=C2, order=order, g0=s.g0, verdict=verdict, omega=omega, omega0=omega0)
+        verdict = "ScattersByC2" if abs(C2) > tol else "Inconclusive"
+    return AsymReport(C1=C1, C2=C2, g0=s.g0, verdict=verdict, omega=omega, omega0=omega0)
 
 
 def _pair(z: complex) -> list:
@@ -208,7 +211,8 @@ def corner_constants(c: CornerDomain, wave, q: float) -> CornerConstants:
     ident = (2.0 * m / (1.0 + m * m)) * (k * k * q * u0 + u11 + u22)
     if abs((c2_seg - c1_seg) - ident) > 1e-9 * max(abs(ident), k * k * max(1.0, abs(u0))):
         warnings.warn("corner segment identity drift", RuntimeWarning)
-    return CornerConstants(c1_seg=complex(c1_seg), c2_seg=complex(c2_seg), C=complex(C))
+    verdict = "ScattersAtCorner" if abs(C) > 1e-8 * tol_scale(wave, q, u0) else "Inconclusive"
+    return CornerConstants(c1_seg=complex(c1_seg), c2_seg=complex(c2_seg), C=complex(C), verdict=verdict)
 
 
 def disk_plane_closed_form(lam: float, alpha: float, k: float, q: float) -> complex:

@@ -30,7 +30,6 @@ from .asymptotics import (
     nonscattering_wavenumbers,
     radial_wronskian,
     report_to_dict,
-    tol_scale,
 )
 from .curves import CornerDomain, TrigCurve, builtin
 from .czmath import bessel_j, bessel_jp  # noqa: F401  (perfbench/tracing.py wraps them here)
@@ -52,7 +51,7 @@ from .quad import (
     sweep_to_csv,
 )
 from .saddle import build_contour, find_saddles, grid_to_csv, grid_to_svg, level_region, validate_contour
-from .waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, WaveModel, value as wave_value
+from .waves import CircularHarmonic, HerglotzTrunc, PlaneCombo, PlaneWave, WaveModel
 
 __all__ = ["Scenario", "parse_scenario", "main"]
 
@@ -94,6 +93,9 @@ class Scenario:
 
 
 def _real(x) -> float:
+    # a JSON number: float() would also read true as 1.0 and "2" as 2.0
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a JSON number")
     v = float(x)
     if not math.isfinite(v):
         raise ValueError(f"{v} is not a finite number")
@@ -108,6 +110,9 @@ def _integer(x) -> int:
 
 
 def _reals(xs) -> tuple:
+    # a JSON array: a string would decode as its characters
+    if not isinstance(xs, list):
+        raise TypeError(f"{xs!r} is not a JSON array")
     return tuple(_real(x) for x in xs)
 
 
@@ -123,8 +128,8 @@ def _exactly(kind: type):
 
 
 def _complex(pair) -> complex:
-    re, im = pair
-    return complex(_real(re), _real(im))
+    re, im = _reals(pair)
+    return complex(re, im)
 
 
 def _optional(decode):
@@ -141,7 +146,7 @@ def _known(d, *keys: str) -> None:
 def _decode_domain(d) -> TrigCurve | CornerDomain:
     if "builtin" in d:
         _known(d, "builtin", "params")
-        return builtin(str(d["builtin"]), *_reals(d.get("params", ())))
+        return builtin(_exactly(str)(d["builtin"]), *_reals(d.get("params", [])))
     if "corner" in d:
         _known(d, "corner")
         c = d["corner"]
@@ -150,7 +155,7 @@ def _decode_domain(d) -> TrigCurve | CornerDomain:
     if "a1" in d:
         _known(d, "a1", "b1", "a2", "b2")
         return TrigCurve(
-            a1=_reals(d["a1"]), b1=_reals(d.get("b1", ())), a2=_reals(d["a2"]), b2=_reals(d.get("b2", ()))
+            a1=_reals(d["a1"]), b1=_reals(d.get("b1", [])), a2=_reals(d["a2"]), b2=_reals(d.get("b2", []))
         )
     raise ValueError("domain must give builtin, corner, or Fourier coefficients")
 
@@ -172,6 +177,9 @@ def _decode_wave(w, k: float) -> WaveModel:
     if kind == "herglotz":
         _known(w, "kind", "psi")
         psi = tuple((int(n), _complex(c)) for n, c in w["psi"].items())
+        # int() would also read "2_0" as 20 and " 2" as 2
+        if [str(n) for n, _ in psi] != list(w["psi"]):
+            raise ValueError(f"herglotz orders must be plain integers, got {list(w['psi'])}")
         if not psi:
             raise ValueError("herglotz needs a nonempty psi table")
         return HerglotzTrunc(k=k, psi=psi)
@@ -200,7 +208,7 @@ def _decode_g0(v):
 
 def _decode_quad(qd) -> QuadOptions:
     _known(qd, "tol")
-    return QuadOptions(tol=float(qd.get("tol", 1e-10)))
+    return QuadOptions(tol=_real(qd.get("tol", 1e-10)))
 
 
 _REQUIRED = object()
@@ -226,7 +234,7 @@ def parse_scenario(cfg: dict) -> Scenario:
         _known(cfg, *_TOP_KEYS)
     except ValueError as e:
         raise ConfigError(f"bad config: {e}") from e
-    if cfg.get("version") != 1:
+    if cfg.get("version") != 1 or isinstance(cfg.get("version"), bool):
         raise ConfigError("config version must be 1")
     k = _block(cfg, "k", _real)
     q = _block(cfg, "q", _real)
@@ -397,9 +405,6 @@ def cmd_corner(s: Scenario, out: str | None) -> int:
     if s.lambda_grid:
         records = lambda_sweep(dom, wave, s.q, s.lambda_grid, 2.0, 0j, None, s.quad)
         _emit(out, "corner.csv", sweep_to_csv(records))
-    u0 = wave_value(wave, (0.0, 0.0))
-    tol = 1e-8 * tol_scale(wave, s.q, u0)
-    verdict = "ScattersAtCorner" if abs(cc.C) > tol else "Inconclusive"
     _emit(
         out,
         "corner.json",
@@ -409,11 +414,11 @@ def cmd_corner(s: Scenario, out: str | None) -> int:
                 "c1_seg": _pair(cc.c1_seg),
                 "c2_seg": _pair(cc.c2_seg),
                 "theta": dom.theta,
-                "verdict": verdict,
+                "verdict": cc.verdict,
             }
         ),
     )
-    return EXIT_OK if verdict != "Inconclusive" else EXIT_INCONCLUSIVE
+    return EXIT_OK if cc.verdict != "Inconclusive" else EXIT_INCONCLUSIVE
 
 
 def cmd_oracle(s: Scenario, out: str | None) -> int:

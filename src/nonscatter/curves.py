@@ -85,10 +85,6 @@ class TrigCurve:
         if self.check:
             self._advisory_checks()
 
-    @property
-    def degree(self) -> int:
-        return len(self.a1) - 1
-
     def _advisory_checks(self):
         ts = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
         jets = eval_jets(self, ts, order=1)

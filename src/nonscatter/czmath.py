@@ -17,9 +17,7 @@ from .errors import AccuracyEnvelopeExceeded
 
 __all__ = [
     "SpectralParams",
-    "TestVector",
     "lambda_tilde",
-    "xi_vector",
     "bessel_j",
     "bessel_jp",
     "bessel_g",
@@ -51,38 +49,10 @@ class SpectralParams:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class TestVector:
-    """Direction xi in C^2 with xi.xi real, i.e. Re xi orthogonal to Im xi."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    xi: tuple[complex, complex]
-
-    def __post_init__(self):
-        x1, x2 = (complex(self.xi[0]), complex(self.xi[1]))
-        object.__setattr__(self, "xi", (x1, x2))
-        dot = x1 * x1 + x2 * x2
-        scale = abs(x1) ** 2 + abs(x2) ** 2
-        if scale > 0 and abs(dot.imag) > 1e-10 * scale:
-            raise ValueError("xi.xi must be real: Re xi and Im xi not orthogonal")
-
-    @property
-    def dot(self) -> float:
-        x1, x2 = self.xi
-        return (x1 * x1 + x2 * x2).real
-
-
 def lambda_tilde(p: SpectralParams) -> float:
     """sqrt(lam^2 + k^2 q) - lam, in the cancellation-free conjugate form."""
     root = math.hypot(p.lam, p.k * math.sqrt(p.q))
     return p.k * p.k * p.q / (root + p.lam)
-
-
-def xi_vector(p: SpectralParams) -> TestVector:
-    """xi = (-i lam, sqrt(lam^2 + k^2 q)); satisfies xi.xi = k^2 q."""
-    root = math.hypot(p.lam, p.k * math.sqrt(p.q))
-    return TestVector((complex(0.0, -p.lam), complex(root, 0.0)))
 
 
 def _g_series(orders, w: np.ndarray) -> np.ndarray:

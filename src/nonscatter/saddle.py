@@ -108,9 +108,6 @@ class ContourPath:
 class ValidationReport:
     max_excess: float
     worst_t: complex
-    delta: float
-    rho: float
-    n_samples: int
 
 
 def _scale(curve: TrigCurve, d: int) -> float:
@@ -731,13 +728,7 @@ def validate_contour(curve: TrigCurve, path: ContourPath) -> ValidationReport:
                 t=complex(tb),
                 excess=float(exc[inside][bad][0]),
             )
-    return ValidationReport(
-        max_excess=max_excess,
-        worst_t=complex(ts[i_worst]),
-        delta=delta,
-        rho=_RHO,
-        n_samples=len(ts),
-    )
+    return ValidationReport(max_excess=max_excess, worst_t=complex(ts[i_worst]))
 
 
 def branch_angle(sp: SaddlePoint, omega: float) -> float:

@@ -210,6 +210,10 @@ def test_corner_constants_examples():
     c_open = corner_constants(CornerDomain(theta=PI / 2 - 1e-4, a1=-1.0, a2=-1.0), wave, 2.0)
     assert abs(c_open.C) < 3e-4  # C -> 0 as the wedge opens flat
 
+    # the README wedges
+    for theta in (PI / 6, PI / 4, PI / 3):
+        assert corner_constants(CornerDomain(theta=theta, a1=-1.0, a2=-1.0), wave, 2.0).verdict == "ScattersAtCorner"
+
 
 def test_corner_segment_difference_identity():
     # c2_seg - c1_seg = (2m/(1+m^2)) k^2 (q-1) u(0) once Helmholtz replaces the Laplacian

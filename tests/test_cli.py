@@ -82,13 +82,33 @@ ESCAPES = [
     {"lambda_grid": [1.0, float("inf")]},
 ]
 
-# values that bool() and str() once coerced silently: "false" ran the contour,
-# and 5 or ["a"] named an output directory
+# values that bool(), str() and float() once coerced silently: "false" ran the
+# contour, 5 or ["a"] named an output directory, true read as 1 and "2" as 2.0,
+# and a string of digits as an array of numbers
 COERCED = [
     {"contour": "false"},
     {"contour": 1},
     {"out": 5},
     {"out": ["a"]},
+    {"k": True},
+    {"q": "2"},
+    {"lambda_grid": "12"},
+    {"g0": "12"},
+    {"quad": {"tol": "1e-9"}},
+    {"p": "2.5"},
+    {"wave": {"kind": "harmonic", "n": True}},
+    {"disk": {"mode": "wronskian", "n": True}},
+    {"domain": {"builtin": "ellipse", "params": ["2", 1]}},
+    {"domain": {"builtin": 5}},
+    {"domain": {"a1": "01", "a2": [0.0, 0.0, 1.0]}},
+    {"domain": {"a1": "", "a2": [0.0, 0.0, 1.0]}},
+    {"wave": {"kind": "plane_combo", "terms": [["10", 0.5]]}},
+]
+
+# herglotz orders that int() once read loosely: "2_0" as 20 and " 2" as 2
+ORDER_KEYS = [
+    {"wave": {"kind": "herglotz", "psi": {"2_0": [1.0, 0.0]}}},
+    {"wave": {"kind": "herglotz", "psi": {" 2": [1.0, 0.0]}}},
 ]
 
 # misspelled keys that once took their defaults silently, and the block each
@@ -113,8 +133,9 @@ FRACTIONS = [
 
 def test_scenario_validation_errors():
     base = {"version": 1, "k": 1.0, "q": 2.0}
-    bad = [dict(base, **cfg) for cfg in ESCAPES + COERCED] + [
+    bad = [dict(base, **cfg) for cfg in ESCAPES + COERCED + ORDER_KEYS] + [
         {"version": 2, "k": 1.0, "q": 2.0},
+        {"version": True, "k": 1.0, "q": 2.0},
         {"version": 1, "q": 2.0},
         {"version": 1, "k": -1.0, "q": 2.0},
         {"version": 1, "k": 1.0, "q": 1.0},
@@ -136,6 +157,9 @@ def test_scenario_validation_errors():
     for cfg, block in FRACTIONS:
         with pytest.raises(ConfigError, match=f"^bad {block}: ValueError"):
             parse_scenario(dict(base, **cfg))
+    for cfg in ORDER_KEYS:
+        with pytest.raises(ConfigError, match="^bad wave: ValueError: herglotz orders must be plain integers"):
+            parse_scenario(dict(base, **cfg))
     for cfg, block in MISSPELLED:
         with pytest.raises(ConfigError, match=f"^bad {block}: (ValueError: )?unknown keys"):
             parse_scenario(dict(base, **cfg))
@@ -148,7 +172,7 @@ def test_scenario_validation_errors():
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path, capsys):
     base = {"version": 1, "k": 1.0, "q": 2.0, "domain": ELLIPSE, "wave": PLANE0}
-    malformed = ESCAPES + COERCED + [cfg for cfg, _ in FRACTIONS + MISSPELLED]
+    malformed = ESCAPES + COERCED + ORDER_KEYS + [cfg for cfg, _ in FRACTIONS + MISSPELLED]
     for i, cfg in enumerate(malformed):
         rc, out = run(tmp_path, "analyze", dict(base, **cfg), out=f"o{i}")
         assert rc == 2, cfg
@@ -455,6 +479,22 @@ def test_corner_command(tmp_path):
     assert rep["verdict"] == "ScattersAtCorner"
     assert abs(complex(*rep["C"]) - math.sqrt(3) / 2) < 1e-12
     assert (out / "corner.csv").read_text().startswith("lambda,")
+
+
+def test_corner_command_inconclusive(tmp_path):
+    # the harmonic n = 2 vanishes at the tip, so u(0) = 0 and C = 0
+    cfg = {
+        "version": 1,
+        "k": 1.0,
+        "q": 2.0,
+        "domain": {"corner": {"theta": math.pi / 6, "a1": -0.7, "a2": -0.7}},
+        "wave": {"kind": "harmonic", "n": 2},
+    }
+    rc, out = run(tmp_path, "corner", cfg)
+    assert rc == 3
+    rep = read_json(out, "corner.json")
+    assert rep["verdict"] == "Inconclusive"
+    assert rep["C"] == [0.0, 0.0]
 
 
 def test_oracle_command(tmp_path):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from nonscatter.czmath import (
     SpectralParams,
-    TestVector,
     bessel_g,
     bessel_j,
     bessel_jp,
     lambda_tilde,
-    xi_vector,
 )
 from nonscatter.errors import AccuracyEnvelopeExceeded
 
@@ -30,12 +28,6 @@ def test_spectral_params_validation():
         SpectralParams(k=1.0, q=-2.0, lam=1.0)
     with pytest.raises(ValueError):
         SpectralParams(k=1.0, q=2.0, lam=-1.0)
-
-
-def test_test_vector_requires_real_dot():
-    TestVector((1j, 1.0))
-    with pytest.raises(ValueError):
-        TestVector((1.0 + 1.0j, 1.0))
 
 
 def test_lambda_tilde_values():
@@ -56,26 +48,15 @@ def test_lambda_tilde_monotone_and_bounded():
     assert np.all(vals <= k * math.sqrt(q) + 1e-15)
 
 
-def test_xi_dot_is_k2q_bulk():
-    rng = np.random.default_rng(7)
-    ks = rng.uniform(0.2, 8.0, 10000)
-    qs = rng.uniform(0.1, 9.0, 10000)
-    qs[qs == 1.0] += 0.5
-    lams = rng.uniform(0.0, 300.0, 10000)
-    for k, q, lam in zip(ks, qs, lams):
-        v = xi_vector(SpectralParams(k=k, q=q, lam=lam))
-        assert abs(v.dot - k * k * q) <= 1e-9 * max(1.0, k * k * q)
-
-
 def test_exponent_splitting_identity():
-    # e^{i x.xi} = e^{lam g} e^{i lt x2} with g = x1 + i x2 needs
-    # xi = (i lam i, sqrt(..)) decomposed as i xi = (lam, i(lam + lt))... checked numerically
+    # e^{i x.xi} = e^{lam g} e^{i lt x2} with g = x1 + i x2 for the area oracle's
+    # xi = (-i lam, lam + lt), whose xi.xi = lt (lt + 2 lam) = k^2 q (next test)
     rng = np.random.default_rng(3)
     for _ in range(200):
         p = SpectralParams(k=rng.uniform(0.5, 3.0), q=rng.uniform(1.5, 6.0), lam=rng.uniform(0.0, 40.0))
         lt = lambda_tilde(p)
         x1, x2 = rng.normal(size=2)
-        xi = xi_vector(p).xi
+        xi = (-1j * p.lam, p.lam + lt)
         lhs = cmath.exp(1j * (x1 * xi[0] + x2 * xi[1]))
         rhs = cmath.exp(p.lam * (x1 + 1j * x2)) * cmath.exp(1j * lt * x2)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))

@@ -605,8 +605,8 @@ def test_naive_chord_on_ellipse_is_narrowly_admissible(curves, saddles, paths):
         i_saddle=1,
     )
     rep = validate_contour(curves["ellipse"], chord)
-    assert rep.max_excess < -rep.delta
-    assert rep.max_excess > -2.0 * rep.delta
+    assert rep.max_excess < -chord.margin
+    assert rep.max_excess > -2.0 * chord.margin
 
 
 def test_detour_path_violates_margin(curves, saddles, paths):
