@@ -352,10 +352,16 @@ def level_region(curve: TrigCurve, sp: SaddlePoint) -> LevelSetGrid:
     cos_mr, sin_mr = np.cos(mr), np.sin(mr)
     even = np.asarray(curve.a1)[:, None] * cos_mr + np.asarray(curve.b1)[:, None] * sin_mr
     odd = np.asarray(curve.a2)[:, None] * sin_mr - np.asarray(curve.b2)[:, None] * cos_mr
-    # summed and shifted in place: two more grid-sized temporaries would page-fault on every call
-    re_g = np.cosh(ms) @ even
-    re_g += np.sinh(ms) @ odd
-    re_g -= sp.g0.real
+    ch, sh = np.cosh(ms), np.sinh(ms)
+    # filled 32 rows (123 kB) at a time: each product of the full grid is a fresh
+    # 1.4 MB array, which glibc maps anew and the first touch page-faults (647
+    # minor faults a call); a block stays in cache for its three passes
+    re_g = np.empty((len(s), len(r)))
+    for i in range(0, len(s), 32):
+        b = slice(i, i + 32)
+        np.matmul(ch[b], even, out=re_g[b])
+        re_g[b] += sh[b] @ odd
+        re_g[b] -= sp.g0.real
     return LevelSetGrid(r=r, s=s, values=re_g)
 
 
@@ -462,9 +468,9 @@ def _search(mask: np.ndarray, source, target) -> list | None:
 def _components(mask: np.ndarray):
     """connected(a, b): whether True cells a and b of mask lie in one 4-connected component.
 
-    Each row of mask splits into runs of True cells, and a union-find joins
-    the runs of adjacent rows that share a column.  _bfs_path(mask, a, b)
-    finds a path exactly when connected(a, b).
+    Each row of mask splits into runs of True cells, and hook-and-compress
+    rounds give one label to the runs of adjacent rows that share a column.
+    _bfs_path(mask, a, b) finds a path exactly when connected(a, b).
     """
     ns, nr = mask.shape
     w = nr + 1
@@ -481,23 +487,25 @@ def _components(mask: np.ndarray):
     below = np.repeat(np.arange(len(key_lo)), n_up)
     above = first[below] + np.arange(below.size) - np.repeat(np.cumsum(n_up) - n_up, n_up)
 
-    root = list(range(len(key_lo)))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for u, v in zip(below.tolist(), above.tolist()):
-        root[find(u)] = find(v)
-    label = [find(x) for x in range(len(key_lo))]
+    # every label is a root; each round hooks each root onto the least root
+    # across one of its edges, then compresses, until no edge joins two roots
+    label = np.arange(len(key_lo))
+    while True:
+        u, v = label[below], label[above]
+        cross = u != v
+        if not cross.any():
+            break
+        u, v = u[cross], v[cross]
+        np.minimum.at(label, np.maximum(u, v), np.minimum(u, v))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
 
     def connected(a, b) -> bool:
         if not (mask[a] and mask[b]):
             raise ValueError("connected() takes True cells of the mask")
         ka, kb = np.searchsorted(key_lo, [a[0] * w + a[1], b[0] * w + b[1]], side="right") - 1
-        return label[ka] == label[kb]
+        return bool(label[ka] == label[kb])
 
     return connected
 

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from nonscatter.curves import CornerDomain, TrigCurve, builtin, eval_jets
+from nonscatter.curves import CornerDomain, TrigCurve, eval_jets
 from nonscatter.czmath import SpectralParams, lambda_tilde
 from nonscatter.errors import (
     InsufficientData,

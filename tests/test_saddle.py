@@ -22,7 +22,6 @@ from nonscatter.saddle import (
     LevelSetGrid,
     _bfs_path,
     _components,
-    SaddlePoint,
     branch_angle,
     branch_sqrt_neg_g2,
     build_contour,
@@ -471,6 +470,45 @@ def test_level_region_matches_eval_jets(curves, saddles, grids):
         assert np.abs(g.values - want).max() <= 1e-13 * np.abs(re_g).max()
 
 
+def _two_products(curve, sp) -> np.ndarray:
+    """Reference field: the cosh and sinh products of the whole grid, summed, less Re g0."""
+    r, s = np.linspace(-PI, PI, 481), np.linspace(-0.2, 2.5, 361)
+    m = np.arange(len(curve.a1), dtype=float)
+    mr, ms = np.multiply.outer(m, r), np.multiply.outer(s, m)
+    cos_mr, sin_mr = np.cos(mr), np.sin(mr)
+    even = np.asarray(curve.a1)[:, None] * cos_mr + np.asarray(curve.b1)[:, None] * sin_mr
+    odd = np.asarray(curve.a2)[:, None] * sin_mr - np.asarray(curve.b2)[:, None] * cos_mr
+    return np.cosh(ms) @ even + np.sinh(ms) @ odd - sp.g0.real
+
+
+def test_level_region_row_blocks_keep_the_full_products(curves, saddles, grids):
+    # up to degree 4 every bit is the full products', the last block of 361 =
+    # 11 * 32 + 9 rows included: the pinned contours of every builtin, seeded
+    # and fuzzed shape rest on it
+    low = [(grids[key].values, curves[key], saddles[key]) for key in grids]
+    for curve in fuzz_sample(777, 150)[:40]:
+        sp = next(iter(find_saddles(curve)), None)
+        if sp is not None and sp.simple:
+            low.append((level_region(curve, sp).values, curve, sp))
+    assert len(low) > 50 and {len(curve.a1) for _, curve, _ in low} == {2, 3, 4, 5}
+    for values, curve, sp in low:
+        assert np.array_equal(values, _two_products(curve, sp))
+    # from degree 5 a BLAS may round a row of a product by how many rows the
+    # product has; the field then moves by a few ulps of its largest value
+    rng = np.random.default_rng(24)
+    for degree in range(5, 17):
+        side = [rng.uniform(-0.2, 0.2, degree + 1) / np.arange(1, degree + 2) ** 2 for _ in range(4)]
+        for row in side:
+            row[0] = 0.0
+        side[0][1], side[3][1] = 1.0, 0.7
+        curve = TrigCurve(*(tuple(row) for row in side))
+        sp = find_saddles(curve)[0]
+        assert sp.simple
+        want = _two_products(curve, sp)
+        got = level_region(curve, sp).values
+        assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max()), degree
+
+
 def test_ellipse_zero_level_crosses_real_axis_at_closed_form(grids):
     # crossing at r = +-arccos sqrt(1 - b^2/a^2) for a=2, b=1
     r_star = math.acos(math.sqrt(1 - 0.25))
@@ -583,6 +621,18 @@ def test_build_contour_allocates_path_sized_memory(curves, saddles, grids):
         finally:
             tracemalloc.stop()
         assert peak < bound, (key, peak)
+
+
+def test_level_region_allocates_one_field(curves, saddles):
+    # the field is the one grid-sized array: its rows are filled in blocks
+    for key in ("ellipse", "cardioid", "nonconvex"):
+        tracemalloc.start()
+        try:
+            values = level_region(curves[key], saddles[key]).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * values.nbytes, (key, peak)
 
 
 def test_contour_waypoint_validation():
@@ -857,3 +907,54 @@ def test_components_match_deque_bfs(case, picks):
     pool = [c for c in (a, b) if mask[c]] + [cells[x % len(cells)] for pair in picks for x in pair]
     for u, v in zip(pool, pool[1:] + pool[:1]):
         assert connected(u, v) == (_deque_path(mask, u, v) is not None)
+
+
+def _serpentine():
+    # 181 full rows, each joined to the next by one cell at alternate ends: one
+    # run per row, and a single path through all of them
+    mask = np.zeros((361, 481), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = mask[3::4, 0] = True
+    return mask
+
+
+def _comb():
+    # one-cell teeth down every other column, on a spine along the last row that
+    # is cut under the middle tooth: 120 teeth either side of a lone one, each
+    # tooth a column of runs whose least label is at the top, far from the spine
+    mask = np.zeros((361, 481), dtype=bool)
+    mask[:, ::2] = True
+    mask[-1, 1::2] = True
+    mask[-1, 240] = False
+    return mask
+
+
+def _chain():
+    # two-cell runs climbing from the bottom-left corner to the top row, each
+    # sharing one column with the next: labels go in row order, so the least
+    # label sits at the far end of a 361-run chain; a broken step at row 100
+    # splits it in two
+    mask = np.zeros((361, 481), dtype=bool)
+    for i in range(361):
+        mask[i, 360 - i:362 - i] = True
+    mask[100, 260] = False
+    return mask
+
+
+@pytest.mark.parametrize("make", [_serpentine, _comb, _chain])
+def test_components_on_full_size_masks(make):
+    # label chains as long as the raster, and a comb that needs a second round
+    # (the first leaves each tooth's top run a root, and the roots meet only
+    # through the spine): every answer must be the queue search's
+    mask = make()
+    connected = _components(mask)
+    cells = [tuple(int(x) for x in c) for c in np.argwhere(mask)]
+    first, last = cells[0], cells[-1]
+    assert connected(first, last) == (_deque_path(mask, first, last) is not None)
+    reached = _deque_bfs(mask, first)
+    rng = np.random.default_rng(len(cells))
+    picks = [cells[k] for k in rng.integers(0, len(cells), 200)]
+    answers = [connected(first, c) for c in picks]
+    assert answers == [c in reached for c in picks]
+    if make is not _serpentine:
+        assert not all(answers) and any(answers)

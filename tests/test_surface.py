@@ -56,3 +56,21 @@ def test_unread_surface_is_gone():
         for name in ("TestVector", "xi_vector"):
             assert not hasattr(mod, name), (mod.__name__, name)
     assert not hasattr(nonscatter.TrigCurve, "degree")
+
+
+def test_test_modules_read_their_imports():
+    # no linter runs on the tests: a name a test module imports at top level
+    # must be loaded there, on its own or as the base of an attribute
+    unread = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert not unread
